@@ -251,7 +251,7 @@ func BenchmarkCalibrateSendMsg(b *testing.B) {
 	const n = 100_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := transport.NewLocal[[2]float64](2, transport.PerSenderQueue, nil)
+		tr := transport.NewLocal[[2]float64](2, transport.PerSenderQueue, nil, nil)
 		batch := make([][2]float64, 0, 1024)
 		for m := 0; m < n; m++ {
 			batch = append(batch, [2]float64{float64(m), 1})
@@ -275,7 +275,7 @@ func BenchmarkCalibrateParseMsg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		tr := transport.NewLocal[[2]float64](2, transport.GlobalQueue, nil)
+		tr := transport.NewLocal[[2]float64](2, transport.GlobalQueue, nil, nil)
 		batch := make([][2]float64, n)
 		for m := range batch {
 			batch[m] = [2]float64{float64(m % vertices), 1}

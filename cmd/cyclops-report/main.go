@@ -3,15 +3,15 @@
 //
 //	cyclops-report list <record-dir>
 //	cyclops-report show [-critpath] [-mem] <record-dir> <run-name>
-//	cyclops-report diff [-model-tol 0.05] [-alloc-tol 0.25] <baseline> <current>
+//	cyclops-report diff [-alloc-tol 0.25] <baseline> <current>
 //
 // diff's sides are each either a record directory (its run-* manifests are
 // normalized) or a baseline JSON file (BENCH_baseline.json). Deterministic
 // counts — supersteps, messages, bytes, wire bytes, replicas, replica value
-// bytes — must match exactly (any wire/payload ratio change fails); model
-// time and allocations per superstep get relative tolerance bands. The exit
-// status is non-zero when any metric regresses, which is what the CI
-// perf-gate keys off.
+// bytes — and model time, which is arithmetic over those counts, must match
+// exactly (any wire/payload ratio change fails); allocations per superstep
+// get a relative tolerance band. The exit status is non-zero when any
+// metric regresses, which is what the CI perf-gate keys off.
 package main
 
 import (
@@ -74,7 +74,6 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 	case "diff":
 		fs := flag.NewFlagSet("cyclops-report diff", flag.ContinueOnError)
 		fs.SetOutput(stderr)
-		modelTol := fs.Float64("model-tol", 0.05, "relative tolerance for model_ms")
 		allocTol := fs.Float64("alloc-tol", 0.25, "relative tolerance for allocs_per_superstep (quarantined telemetry)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err
@@ -82,14 +81,14 @@ func cliMain(args []string, stdout, stderr io.Writer) error {
 		if fs.NArg() != 2 {
 			return usageError()
 		}
-		return diff(fs.Arg(0), fs.Arg(1), *modelTol, *allocTol, stdout)
+		return diff(fs.Arg(0), fs.Arg(1), *allocTol, stdout)
 	default:
 		return usageError()
 	}
 }
 
 func usageError() error {
-	return fmt.Errorf("usage: cyclops-report list <dir> | show [-critpath] [-mem] [-heat] <dir> <run> | diff [-model-tol F] [-alloc-tol F] <baseline> <current>")
+	return fmt.Errorf("usage: cyclops-report list <dir> | show [-critpath] [-mem] [-heat] <dir> <run> | diff [-alloc-tol F] <baseline> <current>")
 }
 
 func list(dir string, w io.Writer) error {
@@ -416,7 +415,7 @@ func fratio(v, mean float64) string {
 	return fmt.Sprintf("%.2f", v/mean)
 }
 
-func diff(oldPath, newPath string, modelTol, allocTol float64, w io.Writer) error {
+func diff(oldPath, newPath string, allocTol float64, w io.Writer) error {
 	base, err := report.Load(oldPath)
 	if err != nil {
 		return err
@@ -425,7 +424,7 @@ func diff(oldPath, newPath string, modelTol, allocTol float64, w io.Writer) erro
 	if err != nil {
 		return err
 	}
-	res := report.Diff(base, cur, report.Options{ModelTol: modelTol, AllocTol: allocTol})
+	res := report.Diff(base, cur, report.Options{AllocTol: allocTol})
 	if err := res.WriteMarkdown(w); err != nil {
 		return err
 	}

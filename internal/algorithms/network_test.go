@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,12 +10,13 @@ import (
 	"cyclops/internal/cyclops"
 	"cyclops/internal/gas"
 	"cyclops/internal/gen"
+	"cyclops/internal/graph"
 	"cyclops/internal/transport"
 )
 
-// These tests run the engines over real gob-encoded TCP loopback sockets and
-// require bit-identical results to the in-process transport: the distributed
-// immutable view must not care what carries its sync messages.
+// These tests run the engines over real TCP loopback sockets carrying binary
+// frames and require bit-identical results to the in-process transport: the
+// distributed immutable view must not care what carries its sync messages.
 
 func TestCyclopsPageRankOverTCP(t *testing.T) {
 	g := gen.PowerLaw(300, 4, 15)
@@ -22,6 +24,7 @@ func TestCyclopsPageRankOverTCP(t *testing.T) {
 		e, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
 			Cluster:       cluster.Flat(3, 1),
 			MaxSupersteps: 8,
+			MsgCodec:      graph.Float64Codec{},
 			Network:       network,
 		})
 		if err != nil {
@@ -48,6 +51,7 @@ func TestBSPPageRankOverTCP(t *testing.T) {
 		e, err := bsp.New[float64, float64](g, PageRankBSP{}, bsp.Config[float64, float64]{
 			Cluster:       cluster.Flat(3, 1),
 			MaxSupersteps: 8,
+			MsgCodec:      graph.Float64Codec{},
 			Network:       network,
 		})
 		if err != nil {
@@ -76,6 +80,8 @@ func TestGASSSSPOverTCP(t *testing.T) {
 	e, err := gas.New[float64, float64](g, SSSPGAS{Source: 0}, gas.Config[float64, float64]{
 		Cluster:       cluster.Flat(3, 1),
 		MaxSupersteps: 300,
+		ValCodec:      graph.Float64Codec{},
+		AccCodec:      graph.Float64Codec{},
 		Network:       transport.TCPLoopback,
 	})
 	if err != nil {
@@ -101,6 +107,7 @@ func TestCyclopsMTALSOverTCP(t *testing.T) {
 		cyclops.Config[[]float64, []float64]{
 			Cluster:       cluster.MT(2, 3, 2),
 			MaxSupersteps: cfg.TotalSupersteps(),
+			MsgCodec:      graph.Float64SliceCodec{},
 			Network:       transport.TCPLoopback,
 		})
 	if err != nil {
@@ -117,6 +124,31 @@ func TestCyclopsMTALSOverTCP(t *testing.T) {
 				t.Fatalf("vertex %d dim %d: %g vs %g", v, i, got[v][i], want[v][i])
 			}
 		}
+	}
+}
+
+// TestTCPRequiresCodec: with no codec there is nothing to encode frames
+// with, so every engine's New surfaces transport.ErrNoCodec.
+func TestTCPRequiresCodec(t *testing.T) {
+	g := gen.PowerLaw(50, 3, 2)
+	_, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
+		Network: transport.TCPLoopback,
+	})
+	if !errors.Is(err, transport.ErrNoCodec) {
+		t.Errorf("cyclops: err = %v, want ErrNoCodec", err)
+	}
+	_, err = bsp.New[float64, float64](g, PageRankBSP{}, bsp.Config[float64, float64]{
+		Network: transport.TCPLoopback,
+	})
+	if !errors.Is(err, transport.ErrNoCodec) {
+		t.Errorf("bsp: err = %v, want ErrNoCodec", err)
+	}
+	_, err = gas.New[float64, float64](g, SSSPGAS{Source: 0}, gas.Config[float64, float64]{
+		Network:  transport.TCPLoopback,
+		ValCodec: graph.Float64Codec{}, // half a codec pair is no codec
+	})
+	if !errors.Is(err, transport.ErrNoCodec) {
+		t.Errorf("gas: err = %v, want ErrNoCodec", err)
 	}
 }
 
@@ -143,7 +175,8 @@ func TestCheckpointRequiresInProcess(t *testing.T) {
 func TestRestoreRequiresInProcess(t *testing.T) {
 	g := gen.PowerLaw(50, 3, 2)
 	e, err := cyclops.New[float64, float64](g, PageRankCyclops{}, cyclops.Config[float64, float64]{
-		Network: transport.TCPLoopback,
+		Network:  transport.TCPLoopback,
+		MsgCodec: graph.Float64Codec{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -63,11 +63,12 @@ type Config[V, M any] struct {
 	Residual func(old, new V) float64
 	// SizeOfMsg estimates a message's wire size; nil means 16 bytes.
 	SizeOfMsg func(M) int64
-	// MsgCodec, when set, selects the hand-rolled binary wire format for
-	// message envelopes: the TCP transport frames batches with it instead
-	// of gob (arena-encoded, zero allocations per message), and the
-	// in-process transport charges its exact encoded sizes to the wire
-	// books. Payload accounting (SizeOfMsg) is unaffected. Optional.
+	// MsgCodec encodes message envelopes in the binary wire format: the TCP
+	// transport frames batches with it (arena-encoded, zero allocations per
+	// message) and requires it (New fails with transport.ErrNoCodec), and
+	// the in-process transport charges its exact encoded sizes to the wire
+	// books (nil keeps wire == payload). Payload accounting (SizeOfMsg) is
+	// unaffected.
 	MsgCodec graph.Codec[M]
 	// CostModel overrides the default model constants.
 	CostModel *metrics.CostModel
@@ -75,9 +76,9 @@ type Config[V, M any] struct {
 	// contention-free per-sender slots. It is an ablation knob (experiment
 	// "ablation.queue"), not something Hama offers.
 	PerSenderQueues bool
-	// Network selects in-process queues (default) or real gob-over-TCP
-	// loopback sockets. Checkpointing requires InProcess (sockets hold
-	// in-flight state a snapshot cannot capture).
+	// Network selects in-process queues (default) or real loopback TCP
+	// sockets carrying binary frames. Checkpointing requires InProcess
+	// (sockets hold in-flight state a snapshot cannot capture).
 	Network transport.Network
 	// OnStep is called after each barrier with the engine (values are
 	// consistent then); used by the harness for L1-norm tracking.
@@ -453,7 +454,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// current snapshot keeps deltas correct across resumed runs.
 	var prevComm transport.MatrixSnapshot
 	if hooks != nil {
-		prevComm = e.tr.Matrix().Snapshot()
+		prevComm = e.tr.Stats().Matrix().Snapshot()
 	}
 
 	// Cumulative per-vertex heat counters (hooks on only): messages sent and
@@ -735,7 +736,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					QueueDepth:   recvBatches[w],
 				})
 			}
-			cur := e.tr.Matrix().Snapshot()
+			cur := e.tr.Stats().Matrix().Snapshot()
 			commDelta := cur.Sub(prevComm)
 			hooks.OnCommMatrix(e.step, commDelta)
 			prevComm = cur

@@ -73,13 +73,13 @@ type Config[V, M any] struct {
 	Residual func(old, new M) float64
 	// SizeOfMsg estimates a published value's wire size (nil = 16 bytes).
 	SizeOfMsg func(M) int64
-	// MsgCodec, when set, switches the transport to the hand-rolled binary
-	// frame format: sync messages are encoded as 4B slot + 1B activation +
-	// codec-encoded value instead of gob, and wire accounting charges the
-	// exact frame bytes on every network. Nil keeps the legacy gob frames.
+	// MsgCodec encodes sync messages in the binary frame format as 4B slot
+	// + 1B activation + codec-encoded value, and wire accounting charges the
+	// exact frame bytes on every network. Required by TCPLoopback (New fails
+	// with transport.ErrNoCodec); in-process, nil keeps wire == payload.
 	MsgCodec graph.Codec[M]
-	// Network selects in-process queues (default) or real gob-over-TCP
-	// loopback sockets. Checkpointing requires InProcess.
+	// Network selects in-process queues (default) or real loopback TCP
+	// sockets carrying binary frames. Checkpointing requires InProcess.
 	Network transport.Network
 	// CostModel overrides the default model constants.
 	CostModel *metrics.CostModel

@@ -64,7 +64,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 	// current snapshot keeps deltas correct across resumed runs.
 	var prevComm transport.MatrixSnapshot
 	if hooks != nil {
-		prevComm = e.tr.Matrix().Snapshot()
+		prevComm = e.tr.Stats().Matrix().Snapshot()
 	}
 
 	// Cumulative per-vertex heat counters (hooks on only): replica-sync
@@ -460,7 +460,7 @@ func (e *Engine[V, M]) Run() (*metrics.Trace, error) {
 					QueueDepth:   recvBatches[w],
 				})
 			}
-			cur := e.tr.Matrix().Snapshot()
+			cur := e.tr.Stats().Matrix().Snapshot()
 			commDelta := cur.Sub(prevComm)
 			hooks.OnCommMatrix(e.step, commDelta)
 			prevComm = cur

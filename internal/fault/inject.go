@@ -159,9 +159,6 @@ func (j *Injector[M]) Drain(to int) [][]M { return j.inner.Drain(to) }
 // Stats implements transport.Interface.
 func (j *Injector[M]) Stats() *transport.Stats { return j.inner.Stats() }
 
-// Matrix implements transport.Interface.
-func (j *Injector[M]) Matrix() *transport.Matrix { return j.inner.Matrix() }
-
 // Close implements transport.Interface.
 func (j *Injector[M]) Close() error { return j.inner.Close() }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"cyclops/internal/fault"
+	"cyclops/internal/graph"
 	"cyclops/internal/obs/span"
 	"cyclops/internal/transport"
 )
@@ -21,9 +22,9 @@ import (
 // spanNetworks are the transports under test, by the Network selector.
 var spanNetworks = []transport.Network{transport.InProcess, transport.TCPLoopback}
 
-func newNet(t *testing.T, network transport.Network, n int) transport.Interface[int] {
+func newNet(t *testing.T, network transport.Network, n int) transport.Interface[int64] {
 	t.Helper()
-	tr, err := transport.New[int](network, n, transport.PerSenderQueue, nil, nil)
+	tr, err := transport.New[int64](network, n, transport.PerSenderQueue, nil, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func newNet(t *testing.T, network transport.Network, n int) transport.Interface[
 
 // tagAll stamps every worker with the given step's span context, as the
 // engine coordinators do between barriers.
-func tagAll(tr transport.Interface[int], n, step int) {
+func tagAll(tr transport.Interface[int64], n, step int) {
 	for w := 0; w < n; w++ {
 		tr.Tag(w, span.Context{Run: 1, Step: int32(step), Worker: int32(w)})
 	}
@@ -41,7 +42,7 @@ func tagAll(tr transport.Interface[int], n, step int) {
 
 // roundTrip runs one complete round: the given sends, round markers from
 // every worker, then a drain of `to`, returning its delivery provenance.
-func roundTrip(tr transport.Interface[int], n, to int, send func()) []span.Delivery {
+func roundTrip(tr transport.Interface[int64], n, to int, send func()) []span.Delivery {
 	send()
 	for w := 0; w < n; w++ {
 		tr.FinishRound(w)
@@ -63,8 +64,8 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 			inj.BeginStep(0)
 			tagAll(inj, n, 0)
 			ds := roundTrip(inj, n, 1, func() {
-				inj.Send(0, 1, []int{1, 2})
-				inj.Send(2, 1, []int{3})
+				inj.Send(0, 1, []int64{1, 2})
+				inj.Send(2, 1, []int64{3})
 			})
 			if len(ds) != 2 || ds[0].From != 0 || ds[1].From != 2 {
 				t.Fatalf("clean round deliveries = %+v, want senders 0 and 2", ds)
@@ -81,8 +82,8 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 			inj.BeginStep(1)
 			tagAll(inj, n, 1)
 			ds = roundTrip(inj, n, 1, func() {
-				inj.Send(0, 1, []int{4, 5})
-				inj.Send(2, 1, []int{6})
+				inj.Send(0, 1, []int64{4, 5})
+				inj.Send(2, 1, []int64{6})
 			})
 			if len(ds) != 1 || ds[0].From != 2 || ds[0].Ctx.Step != 1 {
 				t.Fatalf("dropped round deliveries = %+v, want only sender 2 at step 1", ds)
@@ -98,8 +99,8 @@ func TestDropDoesNotOrphanReceiverSpans(t *testing.T) {
 			inj.BeginStep(1)
 			tagAll(inj, n, 1)
 			ds = roundTrip(inj, n, 1, func() {
-				inj.Send(0, 1, []int{4, 5})
-				inj.Send(2, 1, []int{6})
+				inj.Send(0, 1, []int64{4, 5})
+				inj.Send(2, 1, []int64{6})
 			})
 			if len(ds) != 2 {
 				t.Fatalf("replayed round deliveries = %+v, want both senders back", ds)
@@ -139,8 +140,8 @@ func TestSpanProvenanceSeedReplayable(t *testing.T) {
 			// Each worker sends to its two neighbours; payload size varies by
 			// sender so corrupt-truncations change counts observably.
 			for w := 0; w < n; w++ {
-				inj.Send(w, (w+1)%n, make([]int, w+1))
-				inj.Send(w, (w+2)%n, make([]int, 1))
+				inj.Send(w, (w+1)%n, make([]int64, w+1))
+				inj.Send(w, (w+2)%n, make([]int64, 1))
 			}
 			for w := 0; w < n; w++ {
 				inj.FinishRound(w)

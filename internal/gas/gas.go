@@ -148,10 +148,13 @@ type Config[V, G any] struct {
 	// hand-rolled binary frame format: a gasMsg is framed as 1B kind + 4B
 	// slot + a kind-dependent payload (apply pushes carry Val, gather
 	// partials carry Has+Acc, the request/activation kinds are payload-free),
-	// and wire accounting charges the exact frame bytes. Nil keeps gob.
+	// and wire accounting charges the exact frame bytes. Required by
+	// TCPLoopback (New fails with transport.ErrNoCodec); in-process, nil
+	// keeps wire == payload.
 	ValCodec graph.Codec[V]
 	AccCodec graph.Codec[G]
-	// Network selects in-process queues (default) or gob-over-TCP loopback.
+	// Network selects in-process queues (default) or binary frames over TCP
+	// loopback.
 	Network   transport.Network
 	CostModel *metrics.CostModel
 	OnStep    func(step int, e *Engine[V, G])
@@ -609,7 +612,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 	// current snapshot keeps deltas correct across resumed runs.
 	var prevComm transport.MatrixSnapshot
 	if hooks != nil {
-		prevComm = e.tr.Matrix().Snapshot()
+		prevComm = e.tr.Stats().Matrix().Snapshot()
 	}
 
 	maxRecoveries := e.cfg.MaxRecoveries
@@ -1018,7 +1021,7 @@ func (e *Engine[V, G]) Run() (*metrics.Trace, error) {
 					QueueDepth:   batchPerW[w],
 				})
 			}
-			cur := e.tr.Matrix().Snapshot()
+			cur := e.tr.Stats().Matrix().Snapshot()
 			commDelta := cur.Sub(prevComm)
 			hooks.OnCommMatrix(e.step, commDelta)
 			prevComm = cur

@@ -117,12 +117,19 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		inFrom:   make([]ID, m),
 		inW:      make([]float64, m),
 	}
+	// Offsets are validated as they stream in: the in-CSR rebuild below
+	// walks outTo[outIndex[v]:outIndex[v+1]] and trusts every bound.
+	var prev uint64
 	for i := range g.outIndex {
 		v, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("graph binary: outIndex: %w", err)
 		}
+		if v < prev || (i == 0 && v != 0) || (i == n && v != m64) {
+			return nil, fmt.Errorf("graph binary: outIndex[%d]=%d is not a non-decreasing offset from 0 to %d", i, v, m64)
+		}
 		g.outIndex[i] = int64(v)
+		prev = v
 	}
 	var u32 [4]byte
 	for i := range g.outTo {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -168,10 +169,21 @@ func TestBinaryUnweightedOmitsWeights(t *testing.T) {
 }
 
 func TestBinaryRejectsCorruptInput(t *testing.T) {
+	// n=1, m=2, outIndex=[0,5]: the last offset overruns the two targets
+	// that follow, so the in-CSR rebuild would index past them.
+	overrun := append([]byte{}, binaryMagic[:]...)
+	for _, v := range []uint64{1, 2, 0, 5} {
+		overrun = binary.LittleEndian.AppendUint64(overrun, v)
+	}
+	overrun = append(overrun, make([]byte, 2*4+1)...) // targets 0, 0; flags 0
 	cases := [][]byte{
 		nil,
 		[]byte("NOTMAGIC"),
 		append(append([]byte{}, binaryMagic[:]...), 1, 2, 3), // truncated header
+		overrun,
+	}
+	if len(overrun) != 49 {
+		t.Fatalf("offset-overrun input is %d bytes, want 49", len(overrun))
 	}
 	for _, c := range cases {
 		if _, err := ReadBinary(bytes.NewReader(c)); err == nil {

@@ -130,7 +130,7 @@ func (c *Collector) WatchTransport(fn func() transport.Snapshot) {
 		func() float64 { return float64(fn().Bytes) })
 	c.reg.CounterFunc(MetricTransportWireBytes,
 		"Encoded wire bytes through the transport layer (== payload bytes "+
-			"when nothing serialises; the excess is the gob envelope).",
+			"when nothing serialises; binary frame bytes otherwise).",
 		func() float64 { return float64(fn().WireBytes) })
 	c.reg.CounterFunc(MetricTransportEncodes,
 		"Frame encode operations performed by the transport layer.",

@@ -56,10 +56,10 @@ type Manifest struct {
 	Messages int64 `json:"messages"`
 	Bytes    int64 `json:"bytes"`
 	// WireBytes is the encoded on-the-wire total (sum of the per-superstep
-	// wire deltas): equal to Bytes on in-process transports, strictly larger
-	// on the gob RPC transport — the difference is the serialisation
-	// envelope. Deterministic, so diffed exactly. Omitted when zero to keep
-	// earlier manifests byte-stable.
+	// wire deltas): equal to Bytes when nothing serialises, the exact
+	// binary-frame bytes when the engine has a message codec. Deterministic,
+	// so diffed exactly. Omitted when zero to keep earlier manifests
+	// byte-stable.
 	WireBytes int64 `json:"wire_bytes,omitempty"`
 	// ReplicaValueBytes is the replicated view's value memory (Replicas ×
 	// sizeof(value)): the deterministic half of the paper's Table 4/5 memory

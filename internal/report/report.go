@@ -1,9 +1,9 @@
 // Package report turns flight-record run directories (internal/obs.Recorder)
 // into normalized baselines and diffs them — the regression gate behind
 // cmd/cyclops-report and the CI perf-gate job. Deterministic counts
-// (supersteps, messages, bytes, replicas) must match exactly; the cost
-// model's time estimate gets a relative tolerance band; wall time is never
-// compared (it belongs to the machine, not the code).
+// (supersteps, messages, bytes, replicas) and the cost model's time
+// estimate, which is arithmetic over them, must match exactly; wall time is
+// never compared (it belongs to the machine, not the code).
 package report
 
 import (
@@ -269,11 +269,6 @@ func keyed(b Baseline) (keys []string, byKey map[string]Entry) {
 
 // Options tunes a diff.
 type Options struct {
-	// ModelTol is the relative tolerance for model_ms (default 0.05). The
-	// model is arithmetic over counts — deterministic in principle — but the
-	// band absorbs deliberate cost-constant retuning at minor magnitude;
-	// count drift still fails exactly.
-	ModelTol float64
 	// AllocTol is the relative tolerance for allocs_per_superstep (default
 	// 0.25). Allocation counts are quarantined telemetry — GC scheduling and
 	// the Go version move them — so the band is wide: the gate exists to
@@ -282,9 +277,6 @@ type Options struct {
 }
 
 func (o Options) normalize() Options {
-	if o.ModelTol <= 0 {
-		o.ModelTol = 0.05
-	}
 	if o.AllocTol <= 0 {
 		o.AllocTol = 0.25
 	}
@@ -385,7 +377,7 @@ func Diff(old, new Baseline, opts Options) Result {
 			exact(k, "messages", float64(o.Messages), float64(n.Messages)),
 			exact(k, "bytes", float64(o.Bytes), float64(n.Bytes)),
 			exact(k, "replicas", float64(o.Replicas), float64(n.Replicas)),
-			banded(k, "model_ms", o.ModelMs, n.ModelMs, opts.ModelTol),
+			exact(k, "model_ms", o.ModelMs, n.ModelMs),
 		)
 		// The critical-path structure is deterministic, so it compares
 		// exactly — but only when both sides carry it, so baselines recorded

@@ -63,24 +63,19 @@ func TestDiffExactMetricRegresses(t *testing.T) {
 }
 
 func TestDiffModelBand(t *testing.T) {
-	within := baseline()
-	within.Entries[0].ModelMs *= 1.04 // inside the default 5% band
-	if res := Diff(baseline(), within, Options{}); !res.OK() {
-		t.Errorf("4%% model drift flagged under 5%% tolerance: %v", res.Err())
-	}
-	outside := baseline()
-	outside.Entries[0].ModelMs *= 1.08
-	res := Diff(baseline(), outside, Options{})
-	if res.OK() {
-		t.Fatal("8% model drift passed under 5% tolerance")
-	}
-	if regs := res.Regressions(); len(regs) != 1 || regs[0].Metric != "model_ms" {
-		t.Errorf("regressions = %v, want one model_ms", regs)
-	}
-	// A wider band admits it; improvements (faster model time) beyond the band
-	// still flag, keeping the baseline honest in both directions.
-	if res := Diff(baseline(), outside, Options{ModelTol: 0.10}); !res.OK() {
-		t.Errorf("8%% drift flagged under 10%% tolerance: %v", res.Err())
+	// model_ms is arithmetic over the exact counts, so it compares exactly:
+	// any drift, however small and in either direction, is a regression.
+	for _, f := range []float64{1.04, 1.08, 0.999999} {
+		drifted := baseline()
+		drifted.Entries[0].ModelMs *= f
+		res := Diff(baseline(), drifted, Options{})
+		if res.OK() {
+			t.Errorf("model drift ×%v passed an exact comparison", f)
+			continue
+		}
+		if regs := res.Regressions(); len(regs) != 1 || regs[0].Metric != "model_ms" || !regs[0].Exact {
+			t.Errorf("×%v: regressions = %v, want one exact model_ms", f, regs)
+		}
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// Binary frame format — the hand-rolled replacement for gob on the RPC hot
-// path. A frame is one Send batch (or a round-end marker) with a fixed
-// header, little-endian throughout:
+// Binary frame format — the RPC transport's only wire format. A frame is
+// one Send batch (or a round-end marker) with a fixed header, little-endian
+// throughout:
 //
 //	[4B length]  bytes that follow the prefix (flags..messages)
 //	[1B flags]   bit 0 = round-end marker
@@ -21,7 +21,7 @@ import (
 // The header is fixed-size even when untagged (a zero context) so a frame's
 // wire size is a pure function of its batch — that is what lets the
 // in-process transport charge identical byte counts without materializing
-// frames, keeping PR 7's exact-diffed wire accounting deterministic across
+// frames, keeping the exact-diffed wire accounting deterministic across
 // transports.
 const (
 	frameFlagEnd byte = 1 << 0
@@ -29,18 +29,6 @@ const (
 	// flags, sender, span tag, and message count.
 	FrameHeaderBytes = 4 + 1 + 4 + 16 + 4
 )
-
-// frameWireBytes is the exact number of bytes appendFrame puts on the wire
-// for this batch.
-//
-//lint:hotpath
-func frameWireBytes[M any](batch []M, codec graph.Codec[M]) int64 {
-	n := int64(FrameHeaderBytes)
-	for i := range batch {
-		n += int64(codec.EncodedSize(batch[i]))
-	}
-	return n
-}
 
 // appendFrame encodes one frame onto dst and returns the extended slice.
 // dst is an arena-style per-peer buffer: steady-state calls reuse its

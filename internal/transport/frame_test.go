@@ -39,6 +39,16 @@ func (msgCodec) Decode(src []byte) (msg, int, error) {
 	return m, 4 + n, nil
 }
 
+// frameWireBytes is the exact number of bytes appendFrame puts on the wire
+// for this batch, summed independently of the encoder.
+func frameWireBytes[M any](batch []M, codec graph.Codec[M]) int64 {
+	n := int64(FrameHeaderBytes)
+	for i := range batch {
+		n += int64(codec.EncodedSize(batch[i]))
+	}
+	return n
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -180,7 +190,7 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 // on the sizeOf estimate.
 func TestLocalCodecWireAccounting(t *testing.T) {
 	codec := msgCodec{}
-	tr := NewLocalCodec[msg](3, PerSenderQueue, nil, codec)
+	tr := NewLocal[msg](3, PerSenderQueue, nil, codec)
 	batches := []struct {
 		from, to int
 		batch    []msg
@@ -206,18 +216,17 @@ func TestLocalCodecWireAccounting(t *testing.T) {
 	if s.Encodes != 0 || s.Decodes != 0 {
 		t.Errorf("in-process codec transport performed %d encodes / %d decodes", s.Encodes, s.Decodes)
 	}
-	if m := tr.Matrix().Snapshot(); m.TotalWireBytes() != s.WireBytes {
+	if m := tr.Stats().Matrix().Snapshot(); m.TotalWireBytes() != s.WireBytes {
 		t.Errorf("matrix wire total %d != stats wire total %d", m.TotalWireBytes(), s.WireBytes)
 	}
 }
 
-// TestRPCBinaryRoundTrip drives real batches through real sockets with the
-// binary codec and checks both delivery and the measured wire bytes — which,
-// unlike gob's, must equal the computed frame sizes exactly (no stream state,
-// no type descriptors).
+// TestRPCBinaryRoundTrip drives real batches through real sockets and checks
+// both delivery and the written wire bytes, which must equal the computed
+// frame sizes exactly (frames carry no stream state).
 func TestRPCBinaryRoundTrip(t *testing.T) {
 	codec := msgCodec{}
-	tr, err := NewRPCCodec[msg](2, codec)
+	tr, err := NewRPC[msg](2, codec)
 	if err != nil {
 		t.Fatal(err)
 	}

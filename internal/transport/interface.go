@@ -13,9 +13,9 @@ const (
 	// with exact byte/message accounting. The default, and the only mode
 	// that supports checkpoint Restore (no in-flight socket state).
 	InProcess Network = iota
-	// TCPLoopback uses the RPC transport: real gob-encoded frames over
-	// loopback TCP sockets, exercising serialisation and the round
-	// protocol end to end.
+	// TCPLoopback uses the RPC transport: real binary frames over loopback
+	// TCP sockets, exercising serialisation and the round protocol end to
+	// end. It requires a message codec.
 	TCPLoopback
 )
 
@@ -50,11 +50,9 @@ type Interface[M any] interface {
 	// Drain returns and clears all batches addressed to `to` for the
 	// current round.
 	Drain(to int) [][]M
-	// Stats exposes the traffic counters.
+	// Stats exposes the traffic counters, per-peer ones included
+	// (Stats().Matrix()).
 	Stats() *Stats
-	// Matrix exposes the per-peer traffic counters: messages and bytes per
-	// (sender, receiver) pair. Its grand totals equal Stats exactly.
-	Matrix() *Matrix
 	// Err reports the first asynchronous transport failure, if any.
 	Err() error
 	// Close releases sockets and wakes blocked Drains.
@@ -73,7 +71,7 @@ type Interface[M any] interface {
 	LastDeliveries(to int) []span.Delivery
 	// SerializeNanos reports the cumulative wire-serialisation time charged
 	// to sender `from`, in nanoseconds. Zero for transports that never
-	// encode (Local); the RPC transport times its gob encoding. Differences
+	// encode (Local); the RPC transport times its frame encoding. Differences
 	// of this counter across a phase feed the Serialize span — measured
 	// wall clock, quarantined like every span duration.
 	SerializeNanos(from int) int64
@@ -95,20 +93,16 @@ var _ Interface[int] = (*Local[int])(nil)
 
 // New constructs a transport for the requested network. mode selects the
 // receive-queue discipline for InProcess (the TCP transport always uses a
-// locked inbox; its contention is real, not simulated). codec, when
-// non-nil, selects the hand-rolled binary frame format: the TCP transport
-// frames with it instead of gob, and the in-process transport charges its
-// exact encoded sizes to the wire books. Nil keeps the legacy behaviour
-// (gob frames; wire == payload in-process).
+// locked inbox; its contention is real, not simulated). codec encodes the
+// TCP transport's frames, which makes it required there (ErrNoCodec
+// otherwise); in-process, a non-nil codec charges its exact encoded sizes to
+// the wire books and nil keeps wire == payload.
 func New[M any](network Network, n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) (Interface[M], error) {
 	switch network {
 	case InProcess:
-		return NewLocalCodec[M](n, mode, sizeOf, codec), nil
+		return NewLocal[M](n, mode, sizeOf, codec), nil
 	case TCPLoopback:
-		if codec != nil {
-			return NewRPCCodec[M](n, codec)
-		}
-		return NewRPC[M](n)
+		return NewRPC[M](n, codec)
 	default:
 		return nil, errUnknownNetwork(int(network))
 	}

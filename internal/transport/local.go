@@ -49,9 +49,8 @@ type Local[M any] struct {
 	// materialized — EncodedSize is a pure function of the message, so the
 	// charge is deterministic and exact-diffable by the perf gate, and the
 	// in-process and TCP transports agree on what a batch costs.
-	codec  graph.Codec[M]
-	stats  Stats
-	matrix *Matrix
+	codec graph.Codec[M]
+	stats Stats
 
 	// GlobalQueue state: one locked queue per receiver.
 	global []lockedQueue[M]
@@ -93,10 +92,13 @@ type slot[M any] struct {
 }
 
 // NewLocal creates a transport between n workers with the given queue mode.
-// sizeOf estimates a message's wire size for byte accounting; nil means a
-// flat 16 bytes per message (two words: vertex id + value).
-func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64) *Local[M] {
-	t := &Local[M]{n: n, mode: mode, sizeOf: sizeOf, matrix: NewMatrix(n),
+// sizeOf estimates a message's payload size for byte accounting; nil means a
+// flat 16 bytes per message (two words: vertex id + value). codec, when
+// non-nil, makes the wire books charge the binary frame format's exact
+// encoded bytes instead of the payload estimate, so the in-process gate sees
+// the same wire/payload ratio a socket run would.
+func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
+	t := &Local[M]{n: n, mode: mode, sizeOf: sizeOf, codec: codec, stats: Stats{matrix: newMatrix(n)},
 		tags: make([]span.Context, n), lastDeliv: make([][]span.Delivery, n)}
 	switch mode {
 	case GlobalQueue:
@@ -115,17 +117,6 @@ func NewLocal[M any](n int, mode QueueMode, sizeOf func(M) int64) *Local[M] {
 	return t
 }
 
-// NewLocalCodec is NewLocal with a message codec: payload accounting is
-// unchanged (sizeOf, or 16 bytes/message), but wire accounting charges the
-// binary frame format's exact encoded bytes instead of the payload
-// estimate, so the in-process gate sees the same wire/payload ratio a
-// socket run would.
-func NewLocalCodec[M any](n int, mode QueueMode, sizeOf func(M) int64, codec graph.Codec[M]) *Local[M] {
-	t := NewLocal[M](n, mode, sizeOf)
-	t.codec = codec
-	return t
-}
-
 // NumEndpoints reports the number of workers the transport connects.
 func (t *Local[M]) NumEndpoints() int { return t.n }
 
@@ -135,18 +126,35 @@ func (t *Local[M]) Mode() QueueMode { return t.mode }
 // Stats exposes the traffic counters.
 func (t *Local[M]) Stats() *Stats { return &t.stats }
 
-// Matrix exposes the per-peer traffic counters.
-func (t *Local[M]) Matrix() *Matrix { return t.matrix }
-
-func (t *Local[M]) batchBytes(batch []M) int64 {
-	if t.sizeOf == nil {
-		return int64(len(batch)) * 16
+// batchBytes returns a batch's payload estimate and wire charge in one pass.
+// Without a codec nothing serialises in-process: the wire cost of a memory
+// hand-off is the payload itself, so the wire/payload ratio is identically
+// 1. With a codec, the wire charge is the exact binary-frame byte count —
+// computed, never measured, so it stays exact-diffable.
+//
+//lint:hotpath
+func (t *Local[M]) batchBytes(batch []M) (payload, wire int64) {
+	sizeOf, codec := t.sizeOf, t.codec
+	if sizeOf == nil {
+		payload = int64(len(batch)) * 16
 	}
-	var b int64
-	for i := range batch {
-		b += t.sizeOf(batch[i])
+	if codec != nil {
+		wire = FrameHeaderBytes
 	}
-	return b
+	if sizeOf != nil || codec != nil {
+		for i := range batch {
+			if sizeOf != nil {
+				payload += sizeOf(batch[i])
+			}
+			if codec != nil {
+				wire += int64(codec.EncodedSize(batch[i]))
+			}
+		}
+	}
+	if codec == nil {
+		wire = payload
+	}
+	return payload, wire
 }
 
 // Send delivers a batch from worker `from` to worker `to`. Empty batches are
@@ -158,19 +166,8 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 	if to < 0 || to >= t.n || from < 0 || from >= t.n {
 		panic(fmt.Sprintf("transport: send %d→%d outside [0,%d)", from, to, t.n))
 	}
-	bytes := t.batchBytes(batch)
-	t.matrix.Add(from, to, int64(len(batch)), bytes)
-	// Without a codec there is no serialisation in-process: the wire cost of
-	// a memory hand-off is the payload itself, so the wire/payload ratio is
-	// identically 1 and the RPC transport's ratio isolates the gob envelope.
-	// With a codec, the wire charge is the exact binary-frame byte count —
-	// still computed, never measured, so it stays exact-diffable.
-	wire := bytes
-	if t.codec != nil {
-		wire = frameWireBytes(batch, t.codec)
-	}
-	t.matrix.AddWire(from, to, wire)
-	t.stats.countWire(wire)
+	payload, wire := t.batchBytes(batch)
+	t.stats.count(from, to, int64(len(batch)), payload, wire, t.mode == GlobalQueue)
 	var ctx span.Context
 	if t.tagged.Load() {
 		ctx = t.tags[from]
@@ -182,14 +179,12 @@ func (t *Local[M]) Send(from, to int, batch []M) {
 		q.seq[from]++
 		q.batches = append(q.batches, taggedBatch[M]{from: from, seq: q.seq[from], ctx: ctx, batch: batch})
 		q.mu.Unlock()
-		t.stats.count(int64(len(batch)), bytes, true)
 	case PerSenderQueue:
 		s := &t.slots[to][from]
 		s.mu.Lock()
 		s.batches = append(s.batches, batch)
 		s.ctxs = append(s.ctxs, ctx)
 		s.mu.Unlock()
-		t.stats.count(int64(len(batch)), bytes, false)
 	}
 }
 

@@ -5,22 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Matrix accumulates per-peer traffic: messages[from][to] and
-// bytes[from][to], flattened row-major over n×n cells of atomics. It is the
-// per-worker refinement of Stats — the row sums are a worker's egress, the
-// column sums its ingress, and the grand total equals the Stats counters by
-// construction (both are bumped on the same Send path). Cells are updated
-// once per batch with two atomic adds, so the hot-path cost is fixed and
-// contention-free (distinct sender/receiver pairs touch distinct cells).
+// Matrix accumulates per-peer traffic: messages, payload bytes and wire
+// bytes per (from, to) pair, flattened row-major over n×n cells of atomics.
+// It is the transports' only traffic book — the row sums are a worker's
+// egress, the column sums its ingress, and the grand totals are what Stats
+// reports. Cells are updated once per batch with three atomic adds, so the
+// hot-path cost is fixed and contention-free (distinct sender/receiver pairs
+// touch distinct cells).
 type Matrix struct {
 	n        int
 	messages []atomic.Int64
 	bytes    []atomic.Int64
-	wire     []atomic.Int64 // encoded frame bytes per (from, to) pair
+	wire     []atomic.Int64 // encoded frame bytes (== payload when nothing serialises)
 }
 
-// NewMatrix creates an n×n traffic matrix.
-func NewMatrix(n int) *Matrix {
+func newMatrix(n int) *Matrix {
 	return &Matrix{
 		n:        n,
 		messages: make([]atomic.Int64, n*n),
@@ -32,19 +31,23 @@ func NewMatrix(n int) *Matrix {
 // Workers reports the matrix dimension.
 func (m *Matrix) Workers() int { return m.n }
 
-// Add records msgs messages totalling b bytes sent from `from` to `to`.
-func (m *Matrix) Add(from, to int, msgs, b int64) {
+// add records msgs messages totalling payload estimated bytes and wire
+// encoded bytes sent from `from` to `to`. Transports that do not serialise
+// pass wire == payload; the RPC transport passes the frame bytes it wrote.
+func (m *Matrix) add(from, to int, msgs, payload, wire int64) {
 	i := from*m.n + to
 	m.messages[i].Add(msgs)
-	m.bytes[i].Add(b)
+	m.bytes[i].Add(payload)
+	m.wire[i].Add(wire)
 }
 
-// AddWire records b encoded wire bytes sent from `from` to `to`. Transports
-// that do not serialise call it with the payload estimate so wire == payload
-// holds for them; the RPC transport calls it with the measured socket bytes
-// of each gob frame (the envelope cost becomes WireBytes − Bytes).
-func (m *Matrix) AddWire(from, to int, b int64) {
-	m.wire[from*m.n+to].Add(b)
+// total sums one counter array over every cell: a grand total.
+func total(cells []atomic.Int64) int64 {
+	var n int64
+	for i := range cells {
+		n += cells[i].Load()
+	}
+	return n
 }
 
 // Snapshot returns a plain-struct copy of the cumulative matrix, safe to

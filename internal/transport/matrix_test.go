@@ -1,20 +1,22 @@
 package transport
 
-// Per-peer accounting tests: the worker×worker matrix must agree with the
-// global Stats counters on every transport — row sums are egress, column
-// sums ingress, and the grand totals equal Stats.Messages/Bytes exactly.
-// This is the property the /comm endpoint and the harness comm report build
-// on, so it is pinned here at the source.
+// Per-peer accounting tests: every cell of the worker×worker matrix must
+// count exactly the traffic sent through it on every transport, and the row
+// sums (egress), column sums (ingress) and Stats totals must agree. This is
+// the property the /comm endpoint and the harness comm report build on, so
+// it is pinned here at the source.
 
 import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"cyclops/internal/graph"
 )
 
 // driveRandomTraffic sends a deterministic pseudo-random workload through tr
 // from concurrent senders and returns the expected per-cell message counts.
-func driveRandomTraffic(t *testing.T, tr Interface[int], n, rounds int) [][]int64 {
+func driveRandomTraffic(t *testing.T, tr Interface[int64], n, rounds int) [][]int64 {
 	t.Helper()
 	want := make([][]int64, n)
 	for i := range want {
@@ -30,7 +32,7 @@ func driveRandomTraffic(t *testing.T, tr Interface[int], n, rounds int) [][]int6
 			for r := 0; r < rounds; r++ {
 				for to := 0; to < n; to++ {
 					k := rng.Intn(5) // 0 drops the batch: must not count
-					batch := make([]int, k)
+					batch := make([]int64, k)
 					tr.Send(from, to, batch)
 					mu.Lock()
 					want[from][to] += int64(k)
@@ -51,9 +53,9 @@ func driveRandomTraffic(t *testing.T, tr Interface[int], n, rounds int) [][]int6
 	return want
 }
 
-func checkMatrixAgainstStats(t *testing.T, tr Interface[int], want [][]int64) {
+func checkMatrixAgainstStats(t *testing.T, tr Interface[int64], want [][]int64) {
 	t.Helper()
-	snap := tr.Matrix().Snapshot()
+	snap := tr.Stats().Matrix().Snapshot()
 	st := tr.Stats().Snapshot()
 
 	for f := range want {
@@ -82,19 +84,19 @@ func checkMatrixAgainstStats(t *testing.T, tr Interface[int], want [][]int64) {
 }
 
 func TestMatrixMatchesStatsLocalGlobal(t *testing.T) {
-	tr := NewLocal[int](4, GlobalQueue, nil)
+	tr := NewLocal[int64](4, GlobalQueue, nil, nil)
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsLocalPerSender(t *testing.T) {
-	tr := NewLocal[int](4, PerSenderQueue, nil)
+	tr := NewLocal[int64](4, PerSenderQueue, nil, nil)
 	want := driveRandomTraffic(t, tr, 4, 8)
 	checkMatrixAgainstStats(t, tr, want)
 }
 
 func TestMatrixMatchesStatsRPC(t *testing.T) {
-	tr, err := NewRPC[int](3)
+	tr, err := NewRPC[int64](3, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +109,11 @@ func TestMatrixMatchesStatsRPC(t *testing.T) {
 }
 
 func TestMatrixSnapshotSubAddClone(t *testing.T) {
-	m := NewMatrix(2)
-	m.Add(0, 1, 3, 48)
+	m := newMatrix(2)
+	m.add(0, 1, 3, 48, 48)
 	base := m.Snapshot()
-	m.Add(0, 1, 2, 32)
-	m.Add(1, 0, 1, 16)
+	m.add(0, 1, 2, 32, 32)
+	m.add(1, 0, 1, 16, 16)
 	cur := m.Snapshot()
 
 	d := cur.Sub(base)
@@ -166,14 +168,13 @@ func TestMicroSenderMessagesSumToTotal(t *testing.T) {
 	}
 }
 
-// BenchmarkLocalSendPerPeer prices the Send hot path including the two
-// per-batch matrix atomics, for comparison against the PR 1 transport (which
-// had Stats counting only). The per-peer cost is two uncontended atomic adds
-// per batch — amortised over batch size it is noise; this benchmark guards
-// against that regressing (e.g. per-message counting sneaking in).
+// BenchmarkLocalSendPerPeer prices the Send hot path including the three
+// per-batch matrix atomics. The per-peer cost is three uncontended atomic
+// adds per batch — amortised over batch size it is noise; this benchmark
+// guards against that regressing (e.g. per-message counting sneaking in).
 func BenchmarkLocalSendPerPeer(b *testing.B) {
-	tr := NewLocal[int](4, PerSenderQueue, nil)
-	batch := make([]int, 64)
+	tr := NewLocal[int64](4, PerSenderQueue, nil, nil)
+	batch := make([]int64, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

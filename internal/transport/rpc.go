@@ -2,7 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -15,49 +15,25 @@ import (
 	"cyclops/internal/obs/span"
 )
 
-// RPCOptions tunes the failure handling of the RPC transport. The zero value
-// selects conservative defaults suitable for loopback tests; a field left
-// zero gets its default.
-type RPCOptions struct {
-	// WriteTimeout bounds each frame write. Default 10s.
-	WriteTimeout time.Duration
-	// ReadTimeout bounds the idle time between received frames. Zero (the
-	// default) disables it: a long compute phase between supersteps is
-	// indistinguishable from a stalled peer at the socket level, so read
-	// deadlines are opt-in for deployments that know their step budget.
-	ReadTimeout time.Duration
-	// DialTimeout bounds the initial and reconnect dials. Default 5s.
-	DialTimeout time.Duration
-	// MaxRetries bounds how many times a failed send is retried over a fresh
-	// connection before the error is surfaced through Err. Default 3.
-	MaxRetries int
-	// BackoffBase is the first reconnect backoff; it doubles per attempt up
-	// to BackoffMax, with jitter. Defaults 10ms / 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// Seed drives the backoff jitter, keeping retry schedules reproducible
-	// under the fault-injection harness.
-	Seed int64
-}
+// Failure-handling constants of the RPC transport, sized for loopback.
+// There is no read deadline: a long compute phase between supersteps is
+// indistinguishable from a stalled peer at the socket level.
+const (
+	writeTimeout = 10 * time.Second // bounds each frame write
+	dialTimeout  = 5 * time.Second  // bounds the initial and reconnect dials
+	// maxRetries bounds how many times a failed send is retried over a fresh
+	// connection before the error is surfaced through Err.
+	maxRetries = 3
+	// backoffBase is the first reconnect backoff; it doubles per attempt up
+	// to backoffMax, with jitter.
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+)
 
-func (o RPCOptions) withDefaults() RPCOptions {
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	if o.DialTimeout == 0 {
-		o.DialTimeout = 5 * time.Second
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.BackoffBase == 0 {
-		o.BackoffBase = 10 * time.Millisecond
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = 500 * time.Millisecond
-	}
-	return o
-}
+// ErrNoCodec reports an RPC transport requested without a message codec.
+// Frames are encoded by the codec, so there is nothing to put on the wire
+// without one.
+var ErrNoCodec = errors.New("transport: the TCP transport requires a message codec")
 
 // maxRoundLag bounds how many unconsumed round markers one sender may have
 // pending at one receiver. Senders legitimately run ahead of receivers
@@ -70,10 +46,10 @@ func (o RPCOptions) withDefaults() RPCOptions {
 const maxRoundLag = 64
 
 // RPC is a real networked transport: n endpoints fully connected by TCP
-// loopback sockets carrying gob-encoded frames, mirroring Hama's use of
-// Hadoop RPC. It exists to keep the engines honest about serialisation —
-// the Table 3 microbenchmark and the transport tests drive real bytes
-// through real sockets — while the large experiments use Local for speed.
+// loopback sockets carrying length-prefixed binary frames (frame.go). It
+// exists to keep the engines honest about serialisation — the transport
+// tests and the TCP workloads drive real bytes through real sockets — while
+// the large experiments use Local for speed.
 //
 // The round protocol matches BSP supersteps: each endpoint Sends any number
 // of batches, then calls FinishRound exactly once per round; Drain blocks
@@ -86,39 +62,28 @@ const maxRoundLag = 64
 //
 // Failure handling: writes carry deadlines, a failed send is retried over a
 // freshly dialled connection with exponential backoff + jitter (bounded by
-// MaxRetries), and errors surfaced through Err are typed *Error values whose
+// maxRetries), and errors surfaced through Err are typed *Error values whose
 // Transient flag tells the engines whether checkpoint recovery may apply.
 type RPC[M any] struct {
-	n      int
-	opts   RPCOptions
-	stats  Stats
-	matrix *Matrix
-
-	// codec, when non-nil, selects the hand-rolled binary frame format
-	// instead of gob: frames encode into encBufs and decode without
-	// per-message allocations. Nil keeps the legacy gob streams.
+	n     int
+	stats Stats
 	codec graph.Codec[M]
 	// encBufs[from][to] is the arena-style per-peer encode buffer, reused
 	// across supersteps so steady-state encoding allocates nothing. Guarded
-	// by encMu[from], like the gob encoder it replaces.
+	// by encMu[from].
 	encBufs [][][]byte
 
 	listeners []net.Listener
 	// conns[from][to] is the client-side connection used by `from` to send
 	// to `to`; nil on the diagonal (self-sends short-circuit).
-	conns    [][]net.Conn
-	encoders [][]*gob.Encoder
-	// counters[from][to] sits between the encoder and the socket, counting
-	// the encoded frame bytes each gob Encode actually writes. Guarded by
-	// encMu[from], like the encoder it feeds.
-	counters [][]*countingWriter
-	encMu    []sync.Mutex // one per sender: engines may send from several goroutines
-	rngs     []*rand.Rand // per-sender jitter source, guarded by encMu
+	conns [][]net.Conn
+	encMu []sync.Mutex // one per sender: engines may send from several goroutines
+	rngs  []*rand.Rand // per-sender jitter source, guarded by encMu
 
 	inboxes []rpcInbox[M]
 
 	// tags[from] and serNs[from] are guarded by encMu[from], like the
-	// encoder they describe. tagged flips once on the first Tag call.
+	// buffers they describe. tagged flips once on the first Tag call.
 	tagged atomic.Bool
 	tags   []span.Context
 	serNs  []int64
@@ -152,65 +117,19 @@ type rpcBatch[M any] struct {
 	batch []M
 }
 
-type frame[M any] struct {
-	From  int
-	End   bool
-	Tag   span.Context
-	Batch []M
-}
-
-// countingWriter counts the bytes flowing through it to the underlying
-// connection — the ground truth for wire-overhead accounting. The per-frame
-// byte sequence of a (from, to) gob stream is deterministic for a fixed
-// message sequence (gob emits type descriptors once per stream, then
-// identical frame encodings), so cumulative wire bytes are as reproducible
-// as the payload counts the perf gate already diffs exactly.
-type countingWriter struct {
-	w io.Writer
-	n int64 // guarded by the owning sender's encMu
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // NewRPC creates a fully connected loopback transport between n endpoints
-// with default failure-handling options, carrying gob frames.
-func NewRPC[M any](n int) (*RPC[M], error) {
-	return newRPC[M](n, RPCOptions{}, nil)
-}
-
-// NewRPCOpts creates a fully connected loopback transport with explicit
-// deadline/retry options, carrying gob frames.
-func NewRPCOpts[M any](n int, opts RPCOptions) (*RPC[M], error) {
-	return newRPC[M](n, opts, nil)
-}
-
-// NewRPCCodec creates a fully connected loopback transport whose frames use
-// the hand-rolled binary format (see frame.go) with the given message codec
-// instead of gob.
-func NewRPCCodec[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
-	return newRPC[M](n, RPCOptions{}, codec)
-}
-
-// NewRPCCodecOpts is NewRPCCodec with explicit deadline/retry options.
-func NewRPCCodecOpts[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error) {
-	return newRPC[M](n, opts, codec)
-}
-
-func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error) {
-	opts = opts.withDefaults()
+// whose frames encode messages with codec. A nil codec is ErrNoCodec.
+func NewRPC[M any](n int, codec graph.Codec[M]) (*RPC[M], error) {
+	if codec == nil {
+		return nil, ErrNoCodec
+	}
 	t := &RPC[M]{
 		n:         n,
-		opts:      opts,
+		stats:     Stats{matrix: newMatrix(n)},
 		codec:     codec,
-		matrix:    NewMatrix(n),
+		encBufs:   make([][][]byte, n),
 		listeners: make([]net.Listener, n),
 		conns:     make([][]net.Conn, n),
-		encoders:  make([][]*gob.Encoder, n),
-		counters:  make([][]*countingWriter, n),
 		encMu:     make([]sync.Mutex, n),
 		rngs:      make([]*rand.Rand, n),
 		inboxes:   make([]rpcInbox[M], n),
@@ -220,13 +139,10 @@ func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error
 	for i := range t.inboxes {
 		t.inboxes[i].cond = sync.NewCond(&t.inboxes[i].mu)
 		t.inboxes[i].endsFrom = make([]int, n)
-		t.rngs[i] = rand.New(rand.NewSource(opts.Seed*1099511628211 + int64(i)))
-	}
-	if codec != nil {
-		t.encBufs = make([][][]byte, n)
-		for i := range t.encBufs {
-			t.encBufs[i] = make([][]byte, n)
-		}
+		// Seeded by sender index, so retry schedules are reproducible under
+		// the fault-injection harness.
+		t.rngs[i] = rand.New(rand.NewSource(int64(i)))
+		t.encBufs[i] = make([][]byte, n)
 	}
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -260,61 +176,19 @@ func newRPC[M any](n int, opts RPCOptions, codec graph.Codec[M]) (*RPC[M], error
 	}
 	for from := 0; from < n; from++ {
 		t.conns[from] = make([]net.Conn, n)
-		t.encoders[from] = make([]*gob.Encoder, n)
-		t.counters[from] = make([]*countingWriter, n)
 		for to := 0; to < n; to++ {
 			if to == from {
 				continue
 			}
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 			if err != nil {
 				_ = t.Close() // best-effort teardown; the dial error is what matters
 				return nil, fmt.Errorf("transport: dial %d→%d: %w", from, to, err)
 			}
 			t.conns[from][to] = conn
-			t.counters[from][to] = &countingWriter{w: conn}
-			if codec == nil {
-				t.encoders[from][to] = gob.NewEncoder(t.counters[from][to])
-			}
 		}
 	}
 	return t, nil
-}
-
-func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
-	defer conn.Close()
-	if t.codec != nil {
-		t.receiveLoopBinary(to, conn)
-		return
-	}
-	dec := gob.NewDecoder(conn)
-	for {
-		if t.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)) //nolint:errcheck
-		}
-		var f frame[M]
-		err := dec.Decode(&f)
-		if err == nil {
-			t.stats.countDecode()
-		}
-		if err != nil {
-			// EOF is the normal end of a replaced or closed connection; a
-			// deadline expiry means the peer stalled past ReadTimeout.
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
-			return
-		}
-		if f.End {
-			t.depositEnd(to, f.From)
-			continue
-		}
-		in := &t.inboxes[to]
-		in.mu.Lock()
-		in.batches = append(in.batches, rpcBatch[M]{from: f.From, ctx: f.Tag, batch: f.Batch})
-		in.cond.Broadcast()
-		in.mu.Unlock()
-	}
 }
 
 // maxFrameBytes bounds a binary frame's declared length. A desynchronized
@@ -322,24 +196,18 @@ func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
 // arbitrarily large allocation; past this bound the stream is dead anyway.
 const maxFrameBytes = 1 << 30
 
-// receiveLoopBinary is receiveLoop for the binary frame format: a 4-byte
-// length prefix, then the frame body decoded by the codec. The body buffer
-// is reused across frames (grown once to the high-water mark); the only
-// steady-state allocation is the []M handed to the inbox — one per frame,
-// zero per message.
-func (t *RPC[M]) receiveLoopBinary(to int, conn net.Conn) {
+// receiveLoop reads frames from one inbound connection until it closes: a
+// 4-byte length prefix, then the frame body decoded by the codec. The body
+// buffer is reused across frames (grown once to the high-water mark); the
+// only steady-state allocation is the []M handed to the inbox — one per
+// frame, zero per message.
+func (t *RPC[M]) receiveLoop(to int, conn net.Conn) {
+	defer conn.Close()
 	var hdr [4]byte
 	var body []byte
 	for {
-		if t.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)) //nolint:errcheck
-		}
+		// EOF is the normal end of a replaced or closed connection.
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			// EOF is the normal end of a replaced or closed connection; a
-			// deadline expiry means the peer stalled past ReadTimeout.
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
 			return
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
@@ -352,17 +220,14 @@ func (t *RPC[M]) receiveLoopBinary(to int, conn net.Conn) {
 		}
 		body = body[:n]
 		if _, err := io.ReadFull(conn, body); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !t.closed.Load() {
-				t.recordErr(&Error{Op: "recv", Peer: to, Retryable: true, Err: err})
-			}
 			return
 		}
-		t.stats.countDecode()
+		t.stats.decodes.Add(1)
 		from, end, tag, batch, err := decodeFrameBody(body, t.codec, nil)
 		if err != nil {
 			// A malformed body means the stream is desynced; drop the
-			// connection like a gob decode failure would. The sender's next
-			// write fails and retries over a fresh dial.
+			// connection. The sender's next write fails and retries over a
+			// fresh dial.
 			return
 		}
 		if end {
@@ -398,14 +263,11 @@ func (t *RPC[M]) depositEnd(to, from int) {
 // NumEndpoints reports the number of endpoints.
 func (t *RPC[M]) NumEndpoints() int { return t.n }
 
-// Stats exposes the traffic counters. Bytes are counted as 16/message to
-// stay comparable with Local; WireBytes carries the measured socket bytes of
-// every gob frame, so WireBytes − Bytes is the real envelope cost.
+// Stats exposes the traffic counters. Payload bytes are counted as
+// 16/message to stay comparable with Local; wire bytes are the frame bytes
+// written to each socket (self-sends, which never leave the process, charge
+// their payload).
 func (t *RPC[M]) Stats() *Stats { return &t.stats }
-
-// Matrix exposes the per-peer traffic counters (payload at the same
-// 16 bytes/message estimate as Stats, wire at measured socket bytes).
-func (t *RPC[M]) Matrix() *Matrix { return t.matrix }
 
 // recordErr keeps the first asynchronous failure for Err. A fatal error also
 // breaks every blocked Drain: once the round protocol is dead, waiting for
@@ -460,26 +322,34 @@ func (t *RPC[M]) ClearErr() {
 // backoff returns the jittered delay before retry attempt `attempt` (0-based)
 // by sender `from`. Caller holds encMu[from].
 func (t *RPC[M]) backoff(from, attempt int) time.Duration {
-	d := t.opts.BackoffBase << attempt
-	if d > t.opts.BackoffMax || d <= 0 {
-		d = t.opts.BackoffMax
+	d := backoffBase << attempt
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	// Half fixed, half jitter: spreads reconnect storms without ever
 	// returning a zero sleep.
 	return d/2 + time.Duration(t.rngs[from].Int63n(int64(d/2)+1))
 }
 
-// sendFrame encodes one frame from→to, re-dialling with backoff on failure.
-// Caller holds encMu[from]. Returns the final error after retries.
-func (t *RPC[M]) sendFrame(from, to int, f frame[M]) error {
+// sendFrame encodes one frame from→to into the reusable per-peer arena
+// buffer and writes it, re-dialling with backoff on failure. It returns the
+// bytes put on the wire: the frame length on success (a failed attempt's
+// partial bytes are retried in full over a fresh connection, so the counted
+// sequence stays the deterministic one the perf gate diffs exactly), zero
+// with the final error after retries. Caller holds encMu[from].
+func (t *RPC[M]) sendFrame(from, to int, end bool, tag span.Context, batch []M) (int64, error) {
+	encStart := time.Now()
+	buf := appendFrame(t.encBufs[from][to][:0], from, end, tag, batch, t.codec)
+	t.encBufs[from][to] = buf
+	t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
 	var lastErr error
-	for attempt := 0; attempt <= t.opts.MaxRetries; attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if t.closed.Load() {
-			return &Error{Op: "send", Peer: to, Err: ErrClosed}
+			return 0, &Error{Op: "send", Peer: to, Err: ErrClosed}
 		}
 		if attempt > 0 {
 			time.Sleep(t.backoff(from, attempt-1))
-			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), t.opts.DialTimeout)
+			conn, err := net.DialTimeout("tcp", t.listeners[to].Addr().String(), dialTimeout)
 			if err != nil {
 				lastErr = err
 				continue
@@ -488,52 +358,19 @@ func (t *RPC[M]) sendFrame(from, to int, f frame[M]) error {
 				old.Close()
 			}
 			t.conns[from][to] = conn
-			// A fresh gob stream re-sends its type descriptors; the new
-			// counting writer charges them to the wire like any other bytes
-			// (under a seed-deterministic fault plan the resend is part of
-			// the replayable byte sequence). Binary frames carry no stream
-			// state, so their reconnect resends are byte-identical.
-			t.counters[from][to] = &countingWriter{w: conn}
-			if t.codec == nil {
-				t.encoders[from][to] = gob.NewEncoder(t.counters[from][to])
-			}
 			t.stats.reconnects.Add(1)
 		}
 		conn := t.conns[from][to]
-		if t.opts.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)) //nolint:errcheck
-		}
-		wire0 := t.counters[from][to].n
-		var err error
-		if t.codec != nil {
-			// Binary path: encode into the reusable per-peer arena buffer,
-			// then write the whole frame through the counting writer. One
-			// Write per frame, zero allocations per message in steady state.
-			encStart := time.Now()
-			buf := appendFrame(t.encBufs[from][to][:0], f.From, f.End, f.Tag, f.Batch, t.codec)
-			t.encBufs[from][to] = buf
-			t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
-			_, err = t.counters[from][to].Write(buf)
-		} else {
-			encStart := time.Now()
-			err = t.encoders[from][to].Encode(f)
-			t.serNs[from] += time.Since(encStart).Nanoseconds() //lint:allow determinism serialisation time feeds the Serialize span, quarantined like timings.csv
-		}
-		if err != nil {
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout)) //nolint:errcheck
+		if _, err := conn.Write(buf); err != nil {
 			lastErr = err
 			t.stats.retries.Add(1)
 			continue
 		}
-		// Wire accounting only on success: a failed attempt's partial bytes
-		// are retried in full over a fresh stream, so the counted sequence
-		// stays the deterministic one the perf gate can diff exactly.
-		wire := t.counters[from][to].n - wire0
-		t.stats.countWire(wire)
-		t.stats.countEncode()
-		t.matrix.AddWire(from, to, wire)
-		return nil
+		t.stats.encodes.Add(1)
+		return int64(len(buf)), nil
 	}
-	return &Error{Op: "send", Peer: to, Retryable: true, Err: lastErr}
+	return 0, &Error{Op: "send", Peer: to, Retryable: true, Err: lastErr}
 }
 
 // Send delivers a batch from `from` to `to`. Self-sends bypass the network.
@@ -548,15 +385,13 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 		t.recordErr(&Error{Op: "send", Peer: to, Err: ErrClosed})
 		return
 	}
-	payload := int64(len(batch)) * 16
-	t.stats.count(int64(len(batch)), payload, true)
-	t.matrix.Add(from, to, int64(len(batch)), payload)
+	msgs := int64(len(batch))
+	payload := msgs * 16
 	if from == to {
 		// A self-send never crosses a socket: wire == payload, same as the
 		// in-process transports, so the aggregate wire/payload ratio isolates
-		// the gob envelope paid on the remote paths.
-		t.stats.countWire(payload)
-		t.matrix.AddWire(from, to, payload)
+		// the frame envelope paid on the remote paths.
+		t.stats.count(from, to, msgs, payload, payload, true)
 		var ctx span.Context
 		if t.tagged.Load() {
 			t.encMu[from].Lock()
@@ -572,7 +407,9 @@ func (t *RPC[M]) Send(from, to int, batch []M) {
 	}
 	t.encMu[from].Lock()
 	defer t.encMu[from].Unlock()
-	t.recordErr(t.sendFrame(from, to, frame[M]{From: from, Tag: t.tags[from], Batch: batch}))
+	wire, err := t.sendFrame(from, to, false, t.tags[from], batch)
+	t.stats.count(from, to, msgs, payload, wire, true)
+	t.recordErr(err)
 }
 
 // FinishRound marks the end of `from`'s sends for the current round. It must
@@ -593,7 +430,9 @@ func (t *RPC[M]) FinishRound(from int) {
 			t.depositEnd(to, from)
 			continue
 		}
-		if err := t.sendFrame(from, to, frame[M]{From: from, End: true}); err != nil {
+		wire, err := t.sendFrame(from, to, true, span.Context{}, nil)
+		t.stats.matrix.add(from, to, 0, 0, wire)
+		if err != nil {
 			t.recordErr(err)
 			t.depositEnd(to, from)
 		}
@@ -667,8 +506,8 @@ func (t *RPC[M]) LastDeliveries(to int) []span.Delivery {
 	return in.lastDeliv
 }
 
-// SerializeNanos implements Interface: cumulative gob-encoding time charged
-// to sender `from`.
+// SerializeNanos implements Interface: cumulative frame-encoding time
+// charged to sender `from`.
 func (t *RPC[M]) SerializeNanos(from int) int64 {
 	t.encMu[from].Lock()
 	defer t.encMu[from].Unlock()
@@ -688,7 +527,7 @@ func (t *RPC[M]) Close() error {
 			}
 		}
 		// Taking each sender's lock orders this Close after any in-flight
-		// send on that connection, so the encoder never writes to a conn
+		// send on that connection, so a frame is never written to a conn
 		// being torn down concurrently.
 		for from, row := range t.conns {
 			t.encMu[from].Lock()

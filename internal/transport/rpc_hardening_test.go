@@ -11,13 +11,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cyclops/internal/graph"
 )
 
 // drainOrTimeout guards against the exact regression these tests exist for:
 // a Drain that blocks forever. It fails the test instead of hanging the run.
-func drainOrTimeout(t *testing.T, tr *RPC[int], to int) [][]int {
+func drainOrTimeout(t *testing.T, tr *RPC[int64], to int) [][]int64 {
 	t.Helper()
-	done := make(chan [][]int, 1)
+	done := make(chan [][]int64, 1)
 	go func() { done <- tr.Drain(to) }()
 	select {
 	case out := <-done:
@@ -29,7 +31,7 @@ func drainOrTimeout(t *testing.T, tr *RPC[int], to int) [][]int {
 }
 
 func TestRPCCloseIdempotentConcurrent(t *testing.T) {
-	tr, err := NewRPC[int](3)
+	tr, err := NewRPC[int64](3, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestRPCCloseIdempotentConcurrent(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for j := 0; j < 50; j++ {
-				tr.Send(i%3, (i+1)%3, []int{j})
+				tr.Send(i%3, (i+1)%3, []int64{int64(j)})
 			}
 		}()
 	}
@@ -77,14 +79,14 @@ func TestRPCCloseIdempotentConcurrent(t *testing.T) {
 }
 
 func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int64](2, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr.Send(0, 1, []int{1})
+	tr.Send(0, 1, []int64{1})
 	got := tr.Err()
 	if got == nil {
 		t.Fatal("Send after Close must record an error")
@@ -107,7 +109,7 @@ func TestRPCSendAfterCloseFailsFastTyped(t *testing.T) {
 }
 
 func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int64](2, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +133,14 @@ func TestRPCFinishRoundOveruseIsTypedViolation(t *testing.T) {
 }
 
 func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
-	tr, err := NewRPC[int](2)
+	tr, err := NewRPC[int64](2, graph.Int64Codec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 
 	// Round 1: healthy traffic over the initial connections.
-	tr.Send(0, 1, []int{1, 2})
+	tr.Send(0, 1, []int64{1, 2})
 	tr.FinishRound(0)
 	tr.FinishRound(1)
 	if got := countMsgs(drainOrTimeout(t, tr, 1)); got != 2 {
@@ -152,7 +154,7 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	tr.conns[0][1].Close()
 	tr.encMu[0].Unlock()
 
-	tr.Send(0, 1, []int{3, 4, 5})
+	tr.Send(0, 1, []int64{3, 4, 5})
 	tr.FinishRound(0)
 	tr.FinishRound(1)
 	if got := countMsgs(drainOrTimeout(t, tr, 1)); got != 3 {
@@ -169,7 +171,7 @@ func TestRPCReconnectRedeliversAndCounts(t *testing.T) {
 	}
 }
 
-func countMsgs(batches [][]int) int {
+func countMsgs(batches [][]int64) int {
 	n := 0
 	for _, b := range batches {
 		n += len(b)

@@ -3,10 +3,10 @@
 // communication structures compared in the paper — Hama's locked global
 // in-queue (every sender contends on one mutex per receiver, §2.2.2) and
 // Cyclops' per-sender sub-queues (each slot has a single writer, so enqueue
-// is contention-free, §4.1) — plus a real gob-over-TCP RPC transport and the
-// Table 3 message-passing microbenchmark. All transports count messages,
-// batches and estimated bytes so the harness can report the communication
-// volumes of Figures 10(3) and Table 4 exactly.
+// is contention-free, §4.1) — plus a real binary-frames-over-TCP RPC
+// transport and the Table 3 message-passing microbenchmark. All transports
+// count messages, batches and estimated bytes so the harness can report the
+// communication volumes of Figures 10(3) and Table 4 exactly.
 package transport
 
 import (
@@ -14,54 +14,50 @@ import (
 	"sync/atomic"
 )
 
-// Stats accumulates traffic counters. All fields are updated atomically and
-// may be read concurrently with traffic.
+// Stats accumulates traffic counters. The message, payload-byte and
+// wire-byte totals are the grand totals of the per-peer Matrix it owns —
+// one book, bumped once per batch; the scalar counters below have no
+// per-peer refinement. All counters are atomic and may be read concurrently
+// with traffic.
 type Stats struct {
-	messages   atomic.Int64
+	matrix     *Matrix
 	batches    atomic.Int64
-	bytes      atomic.Int64
-	wireBytes  atomic.Int64 // encoded frame bytes (== payload when no encoding)
-	encodes    atomic.Int64 // frame encode operations (gob / manual binary)
+	encodes    atomic.Int64 // frame encode operations
 	decodes    atomic.Int64 // frame decode operations
 	enqueues   atomic.Int64 // enqueue operations that took the shared lock
 	retries    atomic.Int64 // send attempts repeated after a transient failure
 	reconnects atomic.Int64 // connections re-established after a failure
 }
 
-// Count records a delivered batch of n messages totalling b bytes.
-func (s *Stats) count(n, b int64, locked bool) {
-	s.messages.Add(n)
+// count records one batch of msgs messages sent from→to: its payload
+// estimate and wire bytes go to the matrix cell, and locked marks an
+// enqueue that serialised on a shared lock.
+func (s *Stats) count(from, to int, msgs, payload, wire int64, locked bool) {
+	s.matrix.add(from, to, msgs, payload, wire)
 	s.batches.Add(1)
-	s.bytes.Add(b)
 	if locked {
 		s.enqueues.Add(1)
 	}
 }
 
-// countWire records b encoded bytes on the wire. In-process transports call
-// it with the payload estimate (memory hand-off has no envelope); the RPC
-// transport with the gob frame's true socket byte count, so WireBytes-Bytes
-// is exactly the serialisation envelope the paper's Table 3 charges Hama for.
-func (s *Stats) countWire(b int64) { s.wireBytes.Add(b) }
-
-// countEncode / countDecode record one frame encode / decode operation.
-// Always zero for in-process transports, which never serialise.
-func (s *Stats) countEncode() { s.encodes.Add(1) }
-func (s *Stats) countDecode() { s.decodes.Add(1) }
+// Matrix exposes the per-peer traffic counters: messages, payload bytes and
+// wire bytes per (sender, receiver) pair. Its grand totals are Messages,
+// Bytes and WireBytes.
+func (s *Stats) Matrix() *Matrix { return s.matrix }
 
 // Messages reports the total messages sent.
-func (s *Stats) Messages() int64 { return s.messages.Load() }
+func (s *Stats) Messages() int64 { return total(s.matrix.messages) }
 
 // Batches reports the total batches sent.
 func (s *Stats) Batches() int64 { return s.batches.Load() }
 
 // Bytes reports the total estimated payload bytes sent.
-func (s *Stats) Bytes() int64 { return s.bytes.Load() }
+func (s *Stats) Bytes() int64 { return total(s.matrix.bytes) }
 
 // WireBytes reports the total encoded bytes sent. Equal to Bytes on
-// transports that do not serialise; strictly larger on the gob RPC transport
-// (frame envelope + type descriptors).
-func (s *Stats) WireBytes() int64 { return s.wireBytes.Load() }
+// transports that do not serialise; on the RPC transport it also counts
+// every frame header and round-end marker.
+func (s *Stats) WireBytes() int64 { return total(s.matrix.wire) }
 
 // Encodes reports the number of frame encode operations performed.
 func (s *Stats) Encodes() int64 { return s.encodes.Load() }
@@ -80,20 +76,6 @@ func (s *Stats) Retries() int64 { return s.retries.Load() }
 // Reconnects reports how many connections were re-established after a
 // failure. Always zero for the in-process transports.
 func (s *Stats) Reconnects() int64 { return s.reconnects.Load() }
-
-// Reset zeroes all counters (used between supersteps when per-step counts
-// are wanted).
-func (s *Stats) Reset() {
-	s.messages.Store(0)
-	s.batches.Store(0)
-	s.bytes.Store(0)
-	s.wireBytes.Store(0)
-	s.encodes.Store(0)
-	s.decodes.Store(0)
-	s.enqueues.Store(0)
-	s.retries.Store(0)
-	s.reconnects.Store(0)
-}
 
 // Snapshot is a plain-struct copy of the counters for reporting.
 type Snapshot struct {

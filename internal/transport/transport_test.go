@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ type msg struct {
 
 func TestLocalDeliversBothModes(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](3, mode, nil)
+		tr := NewLocal[msg](3, mode, nil, nil)
 		tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
 		tr.Send(1, 2, []msg{{3, 3.5}})
 		tr.Send(0, 1, []msg{{9, 9}})
@@ -36,7 +37,7 @@ func TestLocalDeliversBothModes(t *testing.T) {
 }
 
 func TestLocalEmptyBatchDropped(t *testing.T) {
-	tr := NewLocal[msg](2, GlobalQueue, nil)
+	tr := NewLocal[msg](2, GlobalQueue, nil, nil)
 	tr.Send(0, 1, nil)
 	if tr.Stats().Batches() != 0 || tr.Pending(1) {
 		t.Fatal("empty batch must be dropped entirely")
@@ -44,25 +45,21 @@ func TestLocalEmptyBatchDropped(t *testing.T) {
 }
 
 func TestLocalStatsAndLockAccounting(t *testing.T) {
-	g := NewLocal[msg](2, GlobalQueue, nil)
+	g := NewLocal[msg](2, GlobalQueue, nil, nil)
 	g.Send(0, 1, []msg{{1, 1}, {2, 2}})
 	if s := g.Stats().Snapshot(); s.Messages != 2 || s.Batches != 1 || s.Bytes != 32 || s.LockedEnqueues != 1 {
 		t.Fatalf("global stats = %+v", s)
 	}
-	p := NewLocal[msg](2, PerSenderQueue, func(m msg) int64 { return 12 })
+	p := NewLocal[msg](2, PerSenderQueue, func(m msg) int64 { return 12 }, nil)
 	p.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
 	if s := p.Stats().Snapshot(); s.Messages != 3 || s.Bytes != 36 || s.LockedEnqueues != 0 {
 		t.Fatalf("per-sender stats = %+v", s)
-	}
-	p.Stats().Reset()
-	if p.Stats().Messages() != 0 {
-		t.Fatal("reset must zero counters")
 	}
 }
 
 func TestLocalConcurrentSenders(t *testing.T) {
 	for _, mode := range []QueueMode{GlobalQueue, PerSenderQueue} {
-		tr := NewLocal[msg](8, mode, nil)
+		tr := NewLocal[msg](8, mode, nil, nil)
 		const per = 500
 		var wg sync.WaitGroup
 		for from := 0; from < 8; from++ {
@@ -94,7 +91,7 @@ func TestLocalConservationProperty(t *testing.T) {
 			mode = PerSenderQueue
 		}
 		const n = 4
-		tr := NewLocal[msg](n, mode, nil)
+		tr := NewLocal[msg](n, mode, nil, nil)
 		sent := 0
 		for i, p := range plan {
 			from, to := int(p)%n, int(p/4)%n
@@ -116,7 +113,7 @@ func TestLocalConservationProperty(t *testing.T) {
 }
 
 func TestRPCRoundTrip(t *testing.T) {
-	tr, err := NewRPC[msg](3)
+	tr, err := NewRPC[msg](3, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +149,7 @@ func TestRPCRoundTrip(t *testing.T) {
 }
 
 func TestRPCMultipleRounds(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +233,7 @@ func TestMicroLinkedBatches(t *testing.T) {
 }
 
 func TestRPCErrNilOnHealthyRun(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	tr, err := NewRPC[msg](2, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,13 +256,16 @@ func TestNewFactory(t *testing.T) {
 	if _, ok := l.(*Local[msg]); !ok {
 		t.Fatal("InProcess must build a Local transport")
 	}
-	r, err := New[msg](TCPLoopback, 2, GlobalQueue, nil, nil)
+	r, err := New[msg](TCPLoopback, 2, GlobalQueue, nil, msgCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	if _, ok := r.(*RPC[msg]); !ok {
 		t.Fatal("TCPLoopback must build an RPC transport")
+	}
+	if _, err := New[msg](TCPLoopback, 2, GlobalQueue, nil, nil); !errors.Is(err, ErrNoCodec) {
+		t.Fatalf("TCPLoopback without a codec: err = %v, want ErrNoCodec", err)
 	}
 	if _, err := New[msg](Network(99), 2, GlobalQueue, nil, nil); err == nil {
 		t.Fatal("unknown network must error")

@@ -1,20 +1,16 @@
 package transport
 
 // Wire-overhead accounting tests: the invariants the memory observatory's
-// wire/payload ratio gate stands on. The local transport never serialises, so
-// wire == payload by definition; the RPC transport measures the bytes gob
-// actually writes to the socket, so wire > payload by exactly the envelope
-// cost; and the two books (Stats and Matrix) agree on the grand total because
-// they are bumped on the same send path.
+// wire/payload ratio gate stands on. The local transport never serialises,
+// so wire == payload by definition; the RPC transport charges each remote
+// cell exactly the frame bytes it writes, while self-sends stay at payload.
 
 import (
-	"encoding/gob"
-	"io"
 	"testing"
 )
 
 func TestLocalWireEqualsPayload(t *testing.T) {
-	tr := NewLocal[msg](3, PerSenderQueue, nil)
+	tr := NewLocal[msg](3, PerSenderQueue, nil, nil)
 	tr.Send(0, 2, []msg{{1, 1.5}, {2, 2.5}})
 	tr.Send(1, 2, []msg{{3, 3.5}})
 	tr.Send(0, 0, []msg{{4, 4.5}})
@@ -29,7 +25,7 @@ func TestLocalWireEqualsPayload(t *testing.T) {
 	if o := s.WireOverhead(); o != 1 {
 		t.Errorf("in-process wire overhead = %v, want exactly 1", o)
 	}
-	m := tr.Matrix().Snapshot()
+	m := tr.Stats().Matrix().Snapshot()
 	for f := 0; f < 3; f++ {
 		for to := 0; to < 3; to++ {
 			if m.WireAt(f, to) != m.Bytes[f][to] {
@@ -42,15 +38,19 @@ func TestLocalWireEqualsPayload(t *testing.T) {
 	}
 }
 
+// TestRPCWireAccounting pins the per-cell wire books of the RPC transport;
+// TestRPCBinaryRoundTrip pins the grand total and the frame op counts.
 func TestRPCWireAccounting(t *testing.T) {
-	tr, err := NewRPC[msg](2)
+	codec := msgCodec{}
+	tr, err := NewRPC[msg](2, codec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
 
-	tr.Send(0, 1, []msg{{1, 1}, {2, 2}, {3, 3}})
-	tr.Send(0, 1, []msg{{4, 4}})
+	a, b := []msg{{1, 1}, {2, 2}, {3, 3}}, []msg{{4, 4}}
+	tr.Send(0, 1, a)
+	tr.Send(0, 1, b)
 	tr.Send(0, 0, []msg{{5, 5}}) // self-send: loopback, no serialisation
 	tr.Send(1, 0, []msg{{6, 6}})
 	tr.FinishRound(0)
@@ -61,32 +61,21 @@ func TestRPCWireAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := tr.Stats().Snapshot()
-	if s.Encodes == 0 || s.Decodes == 0 {
-		t.Errorf("socket frames not counted: %d encodes, %d decodes", s.Encodes, s.Decodes)
-	}
-	// Remote frames carry the gob envelope (type descriptors + field framing),
-	// so measured wire bytes strictly exceed the payload estimate; the excess
-	// is exactly what the observatory calls wire overhead.
-	if s.WireBytes <= s.Bytes {
-		t.Errorf("rpc wire %d <= payload %d: envelope cost lost", s.WireBytes, s.Bytes)
-	}
-	if o := s.WireOverhead(); o <= 1 {
-		t.Errorf("rpc wire overhead = %v, want > 1", o)
-	}
-
-	m := tr.Matrix().Snapshot()
+	m := tr.Stats().Matrix().Snapshot()
 	if m.WireAt(0, 0) != m.Bytes[0][0] {
 		t.Errorf("self-send cell: wire %d != payload %d", m.WireAt(0, 0), m.Bytes[0][0])
 	}
-	if m.WireAt(0, 1) <= m.Bytes[0][1] {
-		t.Errorf("remote cell (0,1): wire %d <= payload %d", m.WireAt(0, 1), m.Bytes[0][1])
+	// The remote cell carries both data frames plus 0's round-end marker.
+	if want := frameWireBytes(a, codec) + frameWireBytes(b, codec) + FrameHeaderBytes; m.WireAt(0, 1) != want {
+		t.Errorf("remote cell (0,1): wire %d, want %d", m.WireAt(0, 1), want)
 	}
-	if m.TotalWireBytes() != s.WireBytes {
-		t.Errorf("matrix wire total %d != stats wire total %d", m.TotalWireBytes(), s.WireBytes)
+	if m.Messages[0][1] != 4 || m.Bytes[0][1] != 4*16 {
+		t.Errorf("remote cell (0,1): %d messages / %d payload bytes, want 4 / 64", m.Messages[0][1], m.Bytes[0][1])
 	}
-	if m.TotalBytes() != s.Bytes {
-		t.Errorf("matrix payload total %d != stats payload total %d", m.TotalBytes(), s.Bytes)
+	s := tr.Stats().Snapshot()
+	if m.TotalWireBytes() != s.WireBytes || m.TotalBytes() != s.Bytes || m.TotalMessages() != s.Messages {
+		t.Errorf("matrix totals %d/%d/%d != stats %d/%d/%d", m.TotalMessages(), m.TotalBytes(),
+			m.TotalWireBytes(), s.Messages, s.Bytes, s.WireBytes)
 	}
 }
 
@@ -143,34 +132,4 @@ func TestMicroEncodeDecodeSymmetry(t *testing.T) {
 		t.Errorf("cyclops micro: %d encode / %d decode ops, want 0/0 (direct writes)",
 			c.EncodeOps, c.DecodeOps)
 	}
-}
-
-// BenchmarkFrameEncodeAllocs measures the steady-state allocation cost of
-// encoding one wire frame through the counting writer — the per-batch cost
-// every remote send pays. Type descriptors are emitted once before the timer
-// starts, so the loop sees only the per-frame envelope. CI tracks allocs/op:
-// a regression here multiplies across every batch of every superstep.
-func BenchmarkFrameEncodeAllocs(b *testing.B) {
-	batch := make([]msg, 512)
-	for i := range batch {
-		batch[i] = msg{uint32(i), float64(i)}
-	}
-	cw := &countingWriter{w: io.Discard}
-	enc := gob.NewEncoder(cw)
-	f := frame[msg]{From: 0, Batch: batch}
-	if err := enc.Encode(&f); err != nil { // prime the type descriptors
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(&f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if cw.n == 0 {
-		b.Fatal("counting writer saw no bytes")
-	}
-	b.SetBytes(cw.n / int64(b.N+1))
 }
