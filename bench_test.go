@@ -161,6 +161,61 @@ func BenchmarkCyclopsIngress(b *testing.B) {
 	}
 }
 
+// BenchmarkGASIngress isolates the vertex-cut build: edge placement, copy
+// creation, master election and mirror wiring.
+func BenchmarkGASIngress(b *testing.B) {
+	g := benchGraph(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := gas.New[algorithms.PRValue, float64](g, algorithms.NewPageRankGAS(g, 10, 0),
+			gas.Config[algorithms.PRValue, float64]{Cluster: cluster.Flat(6, 8)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestIngressAllocsIndependentOfEdges gates the count-then-fill ingress:
+// every array is allocated once at its exact size, so the number of
+// allocations per build depends on the vertex and worker counts, never on
+// the edge count. With the same vertices and cluster, 4× the edges may add
+// only a small constant (the partitioners' and the graph-independent
+// set-up's own allocations). A build that grows rows by append instead pays
+// allocations per row and fails by thousands.
+func TestIngressAllocsIndependentOfEdges(t *testing.T) {
+	const n, slack = 4000, 16
+	sparse, dense := gen.PowerLaw(n, 4, 1), gen.PowerLaw(n, 16, 1)
+	if dense.NumEdges() < 3*sparse.NumEdges() {
+		t.Fatalf("dense graph has %d edges, sparse %d: want ~4x", dense.NumEdges(), sparse.NumEdges())
+	}
+	builds := map[string]func(g *graph.Graph) error{
+		"cyclops": func(g *graph.Graph) error {
+			_, err := cyclopseng.New[float64, float64](g, algorithms.PageRankCyclops{},
+				cyclopseng.Config[float64, float64]{Cluster: cluster.Flat(6, 8)})
+			return err
+		},
+		"gas": func(g *graph.Graph) error {
+			_, err := gas.New[algorithms.PRValue, float64](g, algorithms.NewPageRankGAS(g, 10, 0),
+				gas.Config[algorithms.PRValue, float64]{Cluster: cluster.Flat(6, 8)})
+			return err
+		},
+	}
+	for name, build := range builds {
+		allocs := func(g *graph.Graph) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := build(g); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a1, a4 := allocs(sparse), allocs(dense)
+		t.Logf("%s.New allocs: %.0f at |E|=%d, %.0f at |E|=%d", name, a1, sparse.NumEdges(), a4, dense.NumEdges())
+		if a4 > a1+slack {
+			t.Errorf("%s.New allocs grow with |E|: %.0f → %.0f for %d → %d edges (slack %d)",
+				name, a1, a4, sparse.NumEdges(), dense.NumEdges(), slack)
+		}
+	}
+}
+
 // BenchmarkMultilevelPartition measures the Metis-like partitioner.
 func BenchmarkMultilevelPartition(b *testing.B) {
 	g := benchGraph(b)

@@ -314,13 +314,22 @@ func wrapCodec[M any](inner graph.Codec[M]) graph.Codec[syncMsg[M]] {
 // replica for each remote source, wires an in-edge from it, and records a
 // local out-edge so the replica can activate the target later.
 //
-// Adjacency is assembled in per-slot rows first (insertion order) and then
-// flattened into immutable CSR arrays, preserving the exact neighbor order
-// of the old slice-of-slices layout — the flight recorder's byte-identical
-// series depend on that order.
+// The view is built count-then-fill, in three source-major scans of the
+// out-edges: the first sizes each worker's replica array, the second creates
+// the replicas and counts the localOut and replicas rows (a master's in-row
+// length is its in-degree), and the third fills exact-size CSR arrays
+// through per-row cursors. Every row receives its items in source-major
+// order, so neighbor order, and with it message order and the flight
+// recorder's byte-identical series, does not depend on how rows are stored.
+//
+// A source-major scan creates the replicas on each worker in ascending
+// source id, so "u already has a replica on w" is the same as "u is the last
+// replica created on w": one cursor per worker answers it, with no
+// workers × |V| lookup table.
 func (e *Engine[V, M]) buildView() error {
 	workers := e.cfg.Cluster.Workers()
 	n := e.g.NumVertices()
+	of := e.assign.Of
 
 	repStart := time.Now()
 	layout, err := partition.NewLayout(e.assign, n)
@@ -328,10 +337,23 @@ func (e *Engine[V, M]) buildView() error {
 		return err
 	}
 	masterSlot := layout.Slot // global id → master slot on its owner
-	inRows := make([][][]int32, workers)
-	inWRows := make([][][]float64, workers)
-	outRows := make([][][]int32, workers) // grows past masters as replicas appear
-	repRows := make([][][]replicaRef, workers)
+
+	// Pass 1: count each worker's replicas. last[w] is 1 + the last source
+	// counted on w.
+	last := make([]int, workers)
+	numReplicas := make([]int, workers)
+	for u := 0; u < n; u++ {
+		wu := of[u]
+		for _, v := range e.g.OutNeighbors(graph.ID(u)) {
+			if wv := of[v]; wv != wu && last[wv] != u+1 {
+				last[wv] = u + 1
+				numReplicas[wv]++
+			}
+		}
+	}
+
+	outCounts := make([][]int32, workers) // per slot: localOut row length
+	repCounts := make([][]int32, workers) // per master: replicas row length
 	for w := 0; w < workers; w++ {
 		ws := &workerState[V, M]{masters: layout.Masters(w)}
 		e.ws[w] = ws
@@ -342,74 +364,89 @@ func (e *Engine[V, M]) buildView() error {
 		ws.active = make([]uint32, m)
 		ws.next = make([]uint32, m) //lint:allow atomicmix construction happens before any worker goroutine starts
 		ws.out = make([][]syncMsg[M], workers)
+		ws.replicaIDs = make([]graph.ID, numReplicas[w])
 		for i, id := range ws.masters {
 			ws.outDeg[i] = int32(e.g.OutDegree(id))
 			ws.inUnits[i] = int32(e.g.InDegree(id))
 		}
-		inRows[w] = make([][]int32, m)
-		inWRows[w] = make([][]float64, m)
-		outRows[w] = make([][]int32, m)
-		repRows[w] = make([][]replicaRef, m)
+		outCounts[w] = make([]int32, m+numReplicas[w])
+		repCounts[w] = make([]int32, m)
+		e.ingress.Replicas += int64(numReplicas[w])
 	}
 
-	// replicaSlot[w][id] is id's replica slot on w, or -1 — a dense array
-	// instead of a map: ingress touches it once per spanning edge.
-	replicaSlot := make([][]int32, workers)
-	for w := range replicaSlot {
-		rs := make([]int32, n)
-		for i := range rs {
-			rs[i] = -1
-		}
-		replicaSlot[w] = rs
-	}
-	ensureReplica := func(w int, id graph.ID) int32 {
-		if s := replicaSlot[w][id]; s >= 0 {
-			return s
-		}
+	// replica returns u's replica slot on w and whether this edge is the
+	// first of the scan to reach it, recording u as that replica's id.
+	// made[w] counts the replicas on w the scan has reached so far.
+	replica := func(made []int32, w int, u graph.ID) (int32, bool) {
 		ws := e.ws[w]
-		s := int32(ws.numMasters() + len(ws.replicaIDs))
-		replicaSlot[w][id] = s
-		ws.replicaIDs = append(ws.replicaIDs, id)
-		outRows[w] = append(outRows[w], nil)
-		owner := e.assign.Of[id]
-		repRows[owner][masterSlot[id]] = append(
-			repRows[owner][masterSlot[id]],
-			replicaRef{worker: int32(w), slot: s})
-		e.ingress.Replicas++
-		return s
+		r := made[w]
+		if r > 0 && ws.replicaIDs[r-1] == u {
+			return int32(ws.numMasters()) + r - 1, false
+		}
+		ws.replicaIDs[r] = u
+		made[w]++
+		return int32(ws.numMasters()) + r, true
 	}
 
+	// Pass 2: create the replicas and count the localOut and replicas rows.
+	made := make([]int32, workers)
 	for u := 0; u < n; u++ {
-		wu := e.assign.Of[u]
-		su := masterSlot[u]
-		ns := e.g.OutNeighbors(graph.ID(u))
+		wu, su := of[u], masterSlot[u]
+		for _, v := range e.g.OutNeighbors(graph.ID(u)) {
+			wv := of[v]
+			if wu == wv {
+				outCounts[wu][su]++
+				continue
+			}
+			r, first := replica(made, wv, graph.ID(u))
+			if first {
+				repCounts[wu][su]++
+			}
+			outCounts[wv][r]++
+		}
+	}
+
+	// Pass 3: fill the CSR arrays.
+	in := make([]graph.CSRFiller[int32], workers)
+	inW := make([]graph.CSRFiller[float64], workers)
+	localOut := make([]graph.CSRFiller[int32], workers)
+	reps := make([]graph.CSRFiller[replicaRef], workers)
+	for w, ws := range e.ws {
+		in[w] = graph.NewCSRFiller[int32](ws.inUnits)
+		inW[w] = graph.NewCSRFiller[float64](ws.inUnits)
+		localOut[w] = graph.NewCSRFiller[int32](outCounts[w])
+		reps[w] = graph.NewCSRFiller[replicaRef](repCounts[w])
+	}
+	clear(made)
+	for u := 0; u < n; u++ {
+		wu, su := of[u], masterSlot[u]
 		wts := e.g.OutWeights(graph.ID(u))
-		for i, v := range ns {
-			wv := e.assign.Of[v]
-			sv := masterSlot[v]
+		for i, v := range e.g.OutNeighbors(graph.ID(u)) {
+			wv, sv := of[v], masterSlot[v]
+			src := su
 			if wu == wv {
 				// Local edge: direct shared-memory in-edge + local
 				// activation edge.
-				inRows[wv][sv] = append(inRows[wv][sv], su)
-				inWRows[wv][sv] = append(inWRows[wv][sv], wts[i])
-				outRows[wu][su] = append(outRows[wu][su], sv)
+				localOut[wu].Put(int(su), sv)
 			} else {
-				// Spanning edge: the target worker gets a replica of u,
-				// the in-edge points at the replica, and the replica
-				// carries the activation edge to v.
-				r := ensureReplica(wv, graph.ID(u))
-				inRows[wv][sv] = append(inRows[wv][sv], r)
-				inWRows[wv][sv] = append(inWRows[wv][sv], wts[i])
-				outRows[wv][r] = append(outRows[wv][r], sv)
+				// Spanning edge: the in-edge points at u's replica on wv,
+				// and the replica carries the activation edge to v.
+				r, first := replica(made, wv, graph.ID(u))
+				if first {
+					reps[wu].Put(int(su), replicaRef{worker: int32(wv), slot: r})
+				}
+				localOut[wv].Put(int(r), sv)
+				src = r
 			}
+			in[wv].Put(int(sv), src)
+			inW[wv].Put(int(sv), wts[i])
 		}
 	}
-	for w := 0; w < workers; w++ {
-		ws := e.ws[w]
-		ws.in = graph.CSRFromRows(inRows[w])
-		ws.inWeights = graph.CSRFromRows(inWRows[w])
-		ws.localOut = graph.CSRFromRows(outRows[w])
-		ws.replicas = graph.CSRFromRows(repRows[w])
+	for w, ws := range e.ws {
+		ws.in = in[w].Done()
+		ws.inWeights = inW[w].Done()
+		ws.localOut = localOut[w].Done()
+		ws.replicas = reps[w].Done()
 	}
 	e.ingress.Replication = time.Since(repStart)
 

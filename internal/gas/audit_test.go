@@ -9,6 +9,7 @@ package gas
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,7 +117,8 @@ func TestAuditCatchesMirrorDivergence(t *testing.T) {
 			// Corrupt vertex 0's mirror cache on worker 1. Its master is
 			// inactive and will never push again, so nothing repairs the
 			// divergence — only the auditor can see it.
-			e.ws[1].verts[e.ws[1].slotOf[0]].cache = 999
+			verts := e.ws[1].verts
+			verts[slices.IndexFunc(verts, func(lv localVertex[float64]) bool { return lv.id == 0 })].cache = 999
 		}
 	})
 	_, err := e.Run()

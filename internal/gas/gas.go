@@ -12,6 +12,7 @@ package gas
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -309,8 +310,7 @@ type gasEdge struct {
 }
 
 type workerState[V, G any] struct {
-	verts  []localVertex[V]
-	slotOf []int32 // global id → local slot, -1 when the worker has no copy
+	verts []localVertex[V]
 
 	// Immutable CSR adjacency, flattened once after edge placement: per slot,
 	// the local in-edges, the local out-slots, and (masters only) the mirror
@@ -406,95 +406,122 @@ func New[V, G any](g *graph.Graph, prog Program[V, G], cfg Config[V, G]) (*Engin
 		e.model = *cfg.CostModel
 	}
 	n := g.NumVertices()
-	for w := range e.ws {
-		slotOf := make([]int32, n)
-		for i := range slotOf {
-			slotOf[i] = -1
+
+	// The vertex cut is built count-then-fill over a transient vertex-major
+	// slot table: slot[v*k+w] is v's local slot on worker w, or -1 when w
+	// holds no copy of v. Three source-major scans of the placed edges number
+	// the copies, count each slot's rows, and fill exact-size CSR arrays
+	// through per-row cursors, so every row keeps the order its edges were
+	// placed in.
+	slot := make([]int32, n*k)
+	for i := range slot {
+		slot[i] = -1
+	}
+	numSlots := make([]int32, k)
+	ensure := func(w int, id graph.ID) {
+		if p := &slot[int(id)*k+w]; *p < 0 {
+			*p = numSlots[w]
+			numSlots[w]++
 		}
-		e.ws[w] = &workerState[V, G]{slotOf: slotOf}
 	}
 
-	// Adjacency is accumulated in per-slot rows and flattened into immutable
-	// CSR arrays below, preserving insertion order exactly.
-	inRows := make([][][]gasEdge, k)
-	outRows := make([][][]int32, k)
-	mirRows := make([][][]mirrorRef, k)
-	ensure := func(w int, id graph.ID) int32 {
-		ws := e.ws[w]
-		if s := ws.slotOf[id]; s >= 0 {
-			return s
-		}
-		s := int32(len(ws.verts))
-		ws.slotOf[id] = s
-		ws.verts = append(ws.verts, localVertex[V]{id: id, masterWorker: -1})
-		inRows[w] = append(inRows[w], nil)
-		outRows[w] = append(outRows[w], nil)
-		mirRows[w] = append(mirRows[w], nil)
-		return s
-	}
-
-	// Place edges; create local copies of both endpoints.
+	// Pass 1: place edges and number each worker's copies of both endpoints
+	// in order of first appearance.
 	assign := cfg.Partitioner.PartitionEdges(g, k)
 	i := 0
 	for v := 0; v < n; v++ {
-		ns := g.OutNeighbors(graph.ID(v))
-		wts := g.OutWeights(graph.ID(v))
-		for j, u := range ns {
+		for _, u := range g.OutNeighbors(graph.ID(v)) {
 			w := assign[i]
 			i++
-			sv := ensure(w, graph.ID(v))
-			su := ensure(w, u)
-			inRows[w][su] = append(inRows[w][su], gasEdge{srcSlot: sv, weight: wts[j]})
-			outRows[w][sv] = append(outRows[w][sv], su)
+			ensure(w, graph.ID(v))
+			ensure(w, u)
 		}
 	}
 	// Isolated vertices still need a master somewhere.
 	for v := 0; v < n; v++ {
-		hosted := false
-		for w := 0; w < k; w++ {
-			if e.ws[w].slotOf[v] >= 0 {
-				hosted = true
-				break
-			}
-		}
-		if !hosted {
+		if slices.Max(slot[v*k:v*k+k]) < 0 {
 			ensure(int(uint64(v)%uint64(k)), graph.ID(v))
 		}
 	}
 
-	// Elect masters (lowest worker id hosting the vertex, as a stand-in for
-	// PowerGraph's arbitrary election) and wire mirrors.
+	// Pass 2: count each slot's in-edges and out-slots.
+	inCounts := make([][]int32, k)
+	outCounts := make([][]int32, k)
+	mirCounts := make([][]int32, k)
+	for w := range e.ws {
+		e.ws[w] = &workerState[V, G]{verts: make([]localVertex[V], numSlots[w])}
+		inCounts[w] = make([]int32, numSlots[w])
+		outCounts[w] = make([]int32, numSlots[w])
+		mirCounts[w] = make([]int32, numSlots[w])
+	}
+	i = 0
 	for v := 0; v < n; v++ {
-		masterW := -1
-		for w := 0; w < k; w++ {
-			if e.ws[w].slotOf[v] >= 0 {
-				masterW = w
-				break
-			}
+		for _, u := range g.OutNeighbors(graph.ID(v)) {
+			w := assign[i]
+			i++
+			outCounts[w][slot[v*k+w]]++
+			inCounts[w][slot[int(u)*k+w]]++
 		}
-		ms := e.ws[masterW].slotOf[v]
-		master := &e.ws[masterW].verts[ms]
-		master.master = true
-		master.masterWorker = int32(masterW)
-		master.masterSlot = ms
-		for w := masterW + 1; w < k; w++ {
-			if s := e.ws[w].slotOf[v]; s >= 0 {
-				mirror := &e.ws[w].verts[s]
-				mirror.masterWorker = int32(masterW)
-				mirror.masterSlot = ms
-				mirRows[masterW][ms] = append(mirRows[masterW][ms], mirrorRef{worker: int32(w), slot: s})
+	}
+
+	// Elect masters (lowest worker id hosting the vertex, as a stand-in for
+	// PowerGraph's arbitrary election), point every copy at its master and
+	// count each master's mirrors.
+	for v := 0; v < n; v++ {
+		masterW, ms := -1, int32(-1)
+		for w, s := range slot[v*k : v*k+k] {
+			if s < 0 {
+				continue
+			}
+			if masterW < 0 {
+				masterW, ms = w, s
+			} else {
+				mirCounts[masterW][ms]++
 				e.mirrors++
 				e.mirrorsPerW[w]++
+			}
+			e.ws[w].verts[s] = localVertex[V]{id: graph.ID(v), master: w == masterW,
+				masterWorker: int32(masterW), masterSlot: ms}
+		}
+	}
+	// Wire each master's mirrors in ascending worker order.
+	mirrors := make([]graph.CSRFiller[mirrorRef], k)
+	for w := range mirrors {
+		mirrors[w] = graph.NewCSRFiller[mirrorRef](mirCounts[w])
+	}
+	for v := 0; v < n; v++ {
+		for w, s := range slot[v*k : v*k+k] {
+			if s >= 0 && !e.ws[w].verts[s].master {
+				lv := &e.ws[w].verts[s]
+				mirrors[lv.masterWorker].Put(int(lv.masterSlot), mirrorRef{worker: int32(w), slot: s})
 			}
 		}
 	}
 
-	// Flatten adjacency and allocate the superstep scratch once.
+	// Pass 3: fill the edge CSRs.
+	inEdges := make([]graph.CSRFiller[gasEdge], k)
+	outSlots := make([]graph.CSRFiller[int32], k)
 	for w := range e.ws {
-		ws := e.ws[w]
-		ws.inEdges = graph.CSRFromRows(inRows[w])
-		ws.outSlots = graph.CSRFromRows(outRows[w])
-		ws.mirrors = graph.CSRFromRows(mirRows[w])
+		inEdges[w] = graph.NewCSRFiller[gasEdge](inCounts[w])
+		outSlots[w] = graph.NewCSRFiller[int32](outCounts[w])
+	}
+	i = 0
+	for v := 0; v < n; v++ {
+		wts := g.OutWeights(graph.ID(v))
+		for j, u := range g.OutNeighbors(graph.ID(v)) {
+			w := assign[i]
+			i++
+			sv, su := slot[v*k+w], slot[int(u)*k+w]
+			inEdges[w].Put(int(su), gasEdge{srcSlot: sv, weight: wts[j]})
+			outSlots[w].Put(int(sv), su)
+		}
+	}
+
+	// Allocate the superstep scratch once.
+	for w, ws := range e.ws {
+		ws.inEdges = inEdges[w].Done()
+		ws.outSlots = outSlots[w].Done()
+		ws.mirrors = mirrors[w].Done()
 		nv := len(ws.verts)
 		ws.accVal = make([]G, nv)
 		ws.accHas = make([]bool, nv)

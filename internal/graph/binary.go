@@ -24,6 +24,11 @@ import (
 
 var binaryMagic = [8]byte{'C', 'Y', 'G', 'R', 'A', 'P', 'H', '1'}
 
+// maxPreSize caps how many items ReadBinary allocates on the word of the
+// header: 24 bytes can claim 2^40 vertices and edges. It is large enough
+// that inputs of up to about 2M vertices and edges load with no growth copy.
+const maxPreSize = 1 << 21
+
 // WriteBinary emits the graph in the binary CSR format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -108,19 +113,15 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		return nil, fmt.Errorf("graph binary: implausible sizes n=%d m=%d", n64, m64)
 	}
 	n, m := int(n64), int(m64)
-	g := &Graph{
-		n:        n,
-		outIndex: make([]int64, n+1),
-		outTo:    make([]ID, m),
-		outW:     make([]float64, m),
-		inIndex:  make([]int64, n+1),
-		inFrom:   make([]ID, m),
-		inW:      make([]float64, m),
-	}
+	// The header alone backs no allocation: outIndex and outTo are pre-sized
+	// to at most maxPreSize items and grow only as their bytes arrive. Once
+	// both have arrived, n and m are backed by 8(n+1)+4m bytes of input, so
+	// the remaining arrays are sized from them.
+	g := &Graph{n: n, outIndex: make([]int64, 0, min(n+1, maxPreSize))}
 	// Offsets are validated as they stream in: the in-CSR rebuild below
 	// walks outTo[outIndex[v]:outIndex[v+1]] and trusts every bound.
 	var prev uint64
-	for i := range g.outIndex {
+	for i := 0; i <= n; i++ {
 		v, err := get()
 		if err != nil {
 			return nil, fmt.Errorf("graph binary: outIndex: %w", err)
@@ -128,20 +129,25 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		if v < prev || (i == 0 && v != 0) || (i == n && v != m64) {
 			return nil, fmt.Errorf("graph binary: outIndex[%d]=%d is not a non-decreasing offset from 0 to %d", i, v, m64)
 		}
-		g.outIndex[i] = int64(v)
+		g.outIndex = append(g.outIndex, int64(v))
 		prev = v
 	}
+	g.outTo = make([]ID, 0, min(m, maxPreSize))
 	var u32 [4]byte
-	for i := range g.outTo {
+	for i := 0; i < m; i++ {
 		if _, err := io.ReadFull(br, u32[:]); err != nil {
 			return nil, fmt.Errorf("graph binary: outTo: %w", err)
 		}
-		g.outTo[i] = binary.LittleEndian.Uint32(u32[:])
+		g.outTo = append(g.outTo, binary.LittleEndian.Uint32(u32[:]))
 	}
 	flags, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("graph binary: flags: %w", err)
 	}
+	g.outW = make([]float64, m)
+	g.inIndex = make([]int64, n+1)
+	g.inFrom = make([]ID, m)
+	g.inW = make([]float64, m)
 	if flags&1 != 0 {
 		for i := range g.outW {
 			v, err := get()

@@ -8,8 +8,8 @@ import "fmt"
 // out-edges, replica placements) and then iterate Row slices in the
 // superstep inner loops with zero per-vertex allocations and no map lookups.
 //
-// Rows preserve insertion order exactly: Row(i) returns the items appended
-// to row i in the order they were appended, duplicates included. That
+// Rows preserve insertion order exactly: Row(i) returns the items put into
+// row i in the order they were put, duplicates included. That
 // property is what lets the flight-recorder gate prove the CSR migration
 // changed nothing — neighbor iteration order equals the seed adjacency-list
 // order, so message order, and therefore every exact-diffed counter, is
@@ -58,47 +58,48 @@ func (c *CSR[T]) Validate() error {
 	return nil
 }
 
-// CSRBuilder accumulates rows and flattens them into a CSR. Build-time
-// storage is row-sliced (this runs once, at partition time); the result is
-// the flat immutable layout the hot loops iterate.
-type CSRBuilder[T any] struct {
-	rows [][]T
+// CSRFiller builds a CSR by count-then-fill: every row's length is fixed up
+// front from a counting pass, and Put writes a row's items in order through
+// that row's cursor. Building costs two allocations whatever the item count,
+// and no item is ever copied twice.
+type CSRFiller[T any] struct {
+	counts []int32
+	// c.offsets[i+1] starts at row i's first index and serves as row i's
+	// cursor; once every row is full it equals row i's end, which is the
+	// CSR offset.
+	c CSR[T]
 }
 
-// NewCSRBuilder returns a builder for a CSR with the given number of rows.
-// Rows never appended to come out empty — an empty partition or an isolated
-// vertex is a zero-length row, not an error.
-func NewCSRBuilder[T any](rows int) *CSRBuilder[T] {
-	return &CSRBuilder[T]{rows: make([][]T, rows)}
+// NewCSRFiller returns a filler for a CSR whose row i holds counts[i] items.
+// A zero count is an empty row, not an error. counts must stay unchanged
+// until Done.
+func NewCSRFiller[T any](counts []int32) CSRFiller[T] {
+	offsets := make([]int64, len(counts)+1)
+	var total int64
+	for i, n := range counts {
+		offsets[i+1] = total
+		total += int64(n)
+	}
+	return CSRFiller[T]{counts: counts, c: CSR[T]{offsets: offsets, items: make([]T, total)}}
 }
 
-// Append adds item to row. Items within a row keep insertion order;
+// Put adds item as the next item of row. Items within a row keep Put order;
 // duplicates are kept (a multigraph edge appears as many times as it was
-// added).
-func (b *CSRBuilder[T]) Append(row int, item T) {
-	b.rows[row] = append(b.rows[row], item)
+// put).
+func (f *CSRFiller[T]) Put(row int, item T) {
+	f.c.items[f.c.offsets[row+1]] = item
+	f.c.offsets[row+1]++
 }
 
-// Build flattens the accumulated rows. The builder must not be used after
-// Build.
-func (b *CSRBuilder[T]) Build() CSR[T] {
-	return CSRFromRows(b.rows)
-}
-
-// CSRFromRows flattens row slices into a CSR, preserving row and
-// within-row order.
-func CSRFromRows[T any](rows [][]T) CSR[T] {
-	total := 0
-	for _, r := range rows {
-		total += len(r)
+// Done returns the filled CSR. Every row must have received exactly its
+// count; anything else means the counting pass and the fill pass disagree,
+// which is a bug in the caller, so Done panics. The filler must not be used
+// after Done.
+func (f *CSRFiller[T]) Done() CSR[T] {
+	for i, n := range f.counts {
+		if got := f.c.offsets[i+1] - f.c.offsets[i]; got != int64(n) {
+			panic(fmt.Sprintf("graph: CSRFiller: row %d got %d items, counted %d", i, got, n))
+		}
 	}
-	c := CSR[T]{
-		offsets: make([]int64, len(rows)+1),
-		items:   make([]T, 0, total),
-	}
-	for i, r := range rows {
-		c.items = append(c.items, r...)
-		c.offsets[i+1] = int64(len(c.items))
-	}
-	return c
+	return f.c
 }

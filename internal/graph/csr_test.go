@@ -3,11 +3,11 @@ package graph
 import "testing"
 
 // TestCSREmptyRows covers the empty-partition shape: a CSR whose rows were
-// never appended to must validate and iterate as zero-length rows.
+// counted zero must validate and iterate as zero-length rows.
 func TestCSREmptyRows(t *testing.T) {
-	b := NewCSRBuilder[int32](4)
-	b.Append(2, 7)
-	c := b.Build()
+	b := NewCSRFiller[int32]([]int32{0, 0, 1, 0})
+	b.Put(2, 7)
+	c := b.Done()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,8 @@ func TestCSREmptyRows(t *testing.T) {
 
 	// A fully empty CSR (all rows empty — the empty-partition case) is
 	// valid too.
-	empty := NewCSRBuilder[int32](3).Build()
+	f := NewCSRFiller[int32](make([]int32, 3))
+	empty := f.Done()
 	if err := empty.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +38,51 @@ func TestCSREmptyRows(t *testing.T) {
 	}
 
 	// Zero rows entirely.
-	none := NewCSRBuilder[int32](0).Build()
+	f = NewCSRFiller[int32](nil)
+	none := f.Done()
 	if err := none.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if none.NumRows() != 0 {
 		t.Fatalf("zero-row CSR: rows=%d", none.NumRows())
 	}
+}
+
+// TestCSRFillerCountMismatch: a fill pass that disagrees with its counting
+// pass (a row short or over its count) is a caller bug, and Done must say so
+// instead of returning rows that silently borrowed a neighbor's items.
+func TestCSRFillerCountMismatch(t *testing.T) {
+	for name, fill := range map[string]func(*CSRFiller[int32]){
+		"short": func(f *CSRFiller[int32]) { f.Put(0, 1) },
+		"over":  func(f *CSRFiller[int32]) { f.Put(0, 1); f.Put(0, 2); f.Put(0, 3) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := NewCSRFiller[int32]([]int32{2, 1})
+			fill(&f)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Done accepted rows that disagree with their counts")
+				}
+			}()
+			f.Done()
+		})
+	}
+}
+
+func outDegrees(g *Graph) []int32 {
+	deg := make([]int32, g.NumVertices())
+	for v := range deg {
+		deg[v] = int32(g.OutDegree(ID(v)))
+	}
+	return deg
+}
+
+func uniformCounts(rows, n int) []int32 {
+	c := make([]int32, rows)
+	for i := range c {
+		c[i] = int32(n)
+	}
+	return c
 }
 
 // TestCSRIsolatedVertices builds a CSR over a graph with isolated vertices
@@ -57,13 +96,13 @@ func TestCSRIsolatedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewCSRBuilder[ID](int(g.NumVertices()))
+	b := NewCSRFiller[ID](outDegrees(g))
 	for v := ID(0); v < ID(g.NumVertices()); v++ {
 		for _, u := range g.OutNeighbors(v) {
-			b.Append(int(v), u)
+			b.Put(int(v), u)
 		}
 	}
-	c := b.Build()
+	c := b.Done()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +123,11 @@ func TestCSRIsolatedVertices(t *testing.T) {
 // TestCSRDuplicateEdges: a multigraph edge appended twice appears twice, in
 // insertion order — the CSR must not dedupe or sort.
 func TestCSRDuplicateEdges(t *testing.T) {
-	b := NewCSRBuilder[ID](2)
-	b.Append(0, 3)
-	b.Append(0, 1)
-	b.Append(0, 3)
-	c := b.Build()
+	b := NewCSRFiller[ID]([]int32{3, 0})
+	b.Put(0, 3)
+	b.Put(0, 1)
+	b.Put(0, 3)
+	c := b.Done()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +170,17 @@ func TestCSROrderMatchesAdjacency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	outs := NewCSRBuilder[ID](n)
-	ws := NewCSRBuilder[float64](n)
+	degrees := outDegrees(g)
+	outs := NewCSRFiller[ID](degrees)
+	ws := NewCSRFiller[float64](degrees)
 	for v := ID(0); v < ID(n); v++ {
 		ns, wts := g.OutNeighbors(v), g.OutWeights(v)
 		for i := range ns {
-			outs.Append(int(v), ns[i])
-			ws.Append(int(v), wts[i])
+			outs.Put(int(v), ns[i])
+			ws.Put(int(v), wts[i])
 		}
 	}
-	co, cw := outs.Build(), ws.Build()
+	co, cw := outs.Done(), ws.Done()
 	if err := co.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +204,13 @@ func TestCSROrderMatchesAdjacency(t *testing.T) {
 // The CI perf gate asserts 0 allocs/op: traversal must never allocate.
 func BenchmarkCSRTraversal(b *testing.B) {
 	const n, deg = 4096, 16
-	cb := NewCSRBuilder[int32](n)
+	cb := NewCSRFiller[int32](uniformCounts(n, deg))
 	for v := 0; v < n; v++ {
 		for i := 0; i < deg; i++ {
-			cb.Append(v, int32((v*deg+i*2654435761)%n))
+			cb.Put(v, int32((v*deg+i*2654435761)%n))
 		}
 	}
-	c := cb.Build()
+	c := cb.Done()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sum int64
@@ -189,13 +229,13 @@ func BenchmarkCSRTraversal(b *testing.B) {
 // TestCSRTraversalAllocs enforces the benchmark's invariant in the plain
 // test run: row iteration performs zero allocations.
 func TestCSRTraversalAllocs(t *testing.T) {
-	cb := NewCSRBuilder[int32](64)
+	cb := NewCSRFiller[int32](uniformCounts(64, 4))
 	for v := 0; v < 64; v++ {
 		for i := 0; i < 4; i++ {
-			cb.Append(v, int32(v+i))
+			cb.Put(v, int32(v+i))
 		}
 	}
-	c := cb.Build()
+	c := cb.Done()
 	var sum int64
 	allocs := testing.AllocsPerRun(100, func() {
 		for v := 0; v < 64; v++ {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,6 +201,23 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	buf.Write(huge)
 	if _, err := ReadBinary(&buf); err == nil {
 		t.Error("implausible sizes accepted")
+	}
+
+	// A plausible but unbacked header: n = m = 2^40, then EOF. Sizing
+	// arrays from it would be a fatal out-of-memory throw, not an error;
+	// the reader must fail on the missing bytes with bounded allocation.
+	lie := append([]byte{}, binaryMagic[:]...)
+	lie = binary.LittleEndian.AppendUint64(lie, 1<<40)
+	lie = binary.LittleEndian.AppendUint64(lie, 1<<40)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(lie))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("24-byte header claiming 2^40 vertices and edges accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("24-byte header allocated %d MB, want < 64 MB", grew>>20)
 	}
 }
 

@@ -31,7 +31,6 @@ func NewLayout(a *Assignment, n int) (*Layout, error) {
 	if len(a.Of) != n {
 		return nil, fmt.Errorf("partition: layout: assignment covers %d of %d vertices", len(a.Of), n)
 	}
-	b := graph.NewCSRBuilder[graph.ID](a.K)
 	slot := make([]int32, n)
 	counts := make([]int32, a.K)
 	for v, p := range a.Of {
@@ -40,9 +39,12 @@ func NewLayout(a *Assignment, n int) (*Layout, error) {
 		}
 		slot[v] = counts[p]
 		counts[p]++
-		b.Append(p, graph.ID(v))
 	}
-	return &Layout{K: a.K, Slot: slot, masters: b.Build()}, nil
+	masters := graph.NewCSRFiller[graph.ID](counts)
+	for v, p := range a.Of {
+		masters.Put(p, graph.ID(v))
+	}
+	return &Layout{K: a.K, Slot: slot, masters: masters.Done()}, nil
 }
 
 // Masters returns partition p's master vertex ids in ascending order. The
